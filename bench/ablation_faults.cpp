@@ -35,7 +35,7 @@ bool check_zero_overhead(const Workload& workload) {
     ExperimentOptions off;
     off.record_trace = true;
     ExperimentOptions hooked = off;
-    hooked.fault.install_hooks = true;  // full pipeline, every fault off
+    hooked.cluster.fault.install_hooks = true;  // full pipeline, every fault off
 
     const ScenarioResult a = run_scenario(workload, p, off);
     const ScenarioResult b = run_scenario(workload, p, hooked);
@@ -55,7 +55,9 @@ bool check_zero_overhead(const Workload& workload) {
 ScenarioResult run_chaos(const Workload& workload, ProtocolKind p) {
   ExperimentOptions opts;
   opts.record_trace = true;
-  opts.fault = fault_presets::chaos(NodeId(0), NodeId(1), kChaosSeed);
+  opts.cluster.fault =
+      fault_presets::chaos(NodeId(0), NodeId(1), kChaosSeed);
+  opts.cluster.gdo.replicate = true;  // node faults need it
   return run_scenario(workload, p, opts);
 }
 

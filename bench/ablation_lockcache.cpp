@@ -30,8 +30,8 @@ WorkloadSpec ablation_spec() {
 
 ExperimentOptions base_options(double locality) {
   ExperimentOptions options;
-  options.nodes = 8;
-  options.max_active_families = 1;
+  options.cluster.nodes = 8;
+  options.cluster.max_active_families = 1;
   options.site_locality = locality;
   return options;
 }
@@ -53,7 +53,7 @@ int main() {
     ExperimentOptions options = base_options(locality);
     const ScenarioResult off =
         run_scenario(workload, ProtocolKind::kLotec, options);
-    options.lock_cache = true;
+    options.cluster.lock_cache = true;
     const ScenarioResult on =
         run_scenario(workload, ProtocolKind::kLotec, options);
 
@@ -98,8 +98,8 @@ int main() {
     ExperimentOptions defaults = base_options(0.5);
     defaults.record_trace = true;
     ExperimentOptions knob_off = defaults;
-    knob_off.lock_cache = false;
-    knob_off.lock_cache_capacity = 0;
+    knob_off.cluster.lock_cache = false;
+    knob_off.cluster.lock_cache_capacity = 0;
     const ScenarioResult a =
         run_scenario(workload, ProtocolKind::kLotec, defaults);
     const ScenarioResult b =

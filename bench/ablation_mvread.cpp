@@ -38,12 +38,12 @@ WorkloadSpec ablation_spec() {
 
 ExperimentOptions base_options(double read_fraction) {
   ExperimentOptions options;
-  options.nodes = 8;
+  options.cluster.nodes = 8;
   // Families run strictly one after another at a mostly-fixed hot site:
   // what remains is pure protocol traffic, and repeat reads at the site
   // are the axis snapshot resolution trades on (exactly as the lock-cache
   // ablation sweeps the same locality for sticky locks).
-  options.max_active_families = 1;
+  options.cluster.max_active_families = 1;
   options.site_locality = 0.9;
   options.read_only_fraction = read_fraction;
   return options;
@@ -66,7 +66,7 @@ int main() {
     ExperimentOptions options = base_options(fraction);
     const ScenarioResult off =
         run_scenario(workload, ProtocolKind::kLotec, options);
-    options.mv_read = true;
+    options.cluster.mv_read = true;
     const ScenarioResult on =
         run_scenario(workload, ProtocolKind::kLotec, options);
 

@@ -41,7 +41,7 @@ WorkloadSpec ablation_spec() {
 
 ExperimentOptions base_options() {
   ExperimentOptions options;
-  options.nodes = 8;
+  options.cluster.nodes = 8;
   return options;
 }
 
@@ -85,8 +85,9 @@ int main() {
   // Idle ring: elasticity priced in, not exercised.
   for (const std::size_t group : {std::size_t{1}, std::size_t{2}}) {
     ExperimentOptions options = base_options();
-    options.ring.enabled = true;
-    options.ring.mirror_group = group;
+    options.cluster.gdo.replicate = true;  // quorum groups need it
+    options.cluster.gdo.ring.enabled = true;
+    options.cluster.gdo.ring.mirror_group = group;
     const ScenarioResult r =
         run_scenario(workload, ProtocolKind::kLotec, options);
     emit("ring_idle_g" + std::to_string(group), r);
@@ -111,14 +112,15 @@ int main() {
   for (const std::size_t cycles : {std::size_t{1}, std::size_t{2},
                                    std::size_t{4}}) {
     ExperimentOptions options = base_options();
-    options.ring.enabled = true;
-    options.ring.mirror_group = 2;
+    options.cluster.gdo.replicate = true;
+    options.cluster.gdo.ring.enabled = true;
+    options.cluster.gdo.ring.mirror_group = 2;
     // Wide windows: the migration pump advances once per family attempt,
     // so the departed member must stay out long enough for its shards to
     // actually move before the join folds them back.
-    options.fault = fault_presets::rebalance({NodeId(1), NodeId(2)}, cycles,
-                                             /*first_tick=*/30,
-                                             /*window=*/250);
+    options.cluster.fault = fault_presets::rebalance({NodeId(1), NodeId(2)}, cycles,
+                                                     /*first_tick=*/30,
+                                                     /*window=*/250);
     const ScenarioResult r =
         run_scenario(workload, ProtocolKind::kLotec, options);
     emit("churn_" + std::to_string(cycles), r);
@@ -154,10 +156,10 @@ int main() {
     ExperimentOptions plain = base_options();
     plain.record_trace = true;
     ExperimentOptions armed = plain;
-    armed.ring.virtual_nodes = 64;
-    armed.ring.mirror_group = 3;
-    armed.ring.seed = 0xDEAD;
-    armed.ring.migration_batch = 7;  // enabled stays false
+    armed.cluster.gdo.ring.virtual_nodes = 64;
+    armed.cluster.gdo.ring.mirror_group = 3;
+    armed.cluster.gdo.ring.seed = 0xDEAD;
+    armed.cluster.gdo.ring.migration_batch = 7;  // enabled stays false
     const ScenarioResult a = run_scenario(workload, ProtocolKind::kLotec,
                                           plain);
     const ScenarioResult b = run_scenario(workload, ProtocolKind::kLotec,

@@ -34,7 +34,7 @@ int main() {
   for (const auto undo :
        {UndoStrategy::kByteRange, UndoStrategy::kShadowPage}) {
     ExperimentOptions options;
-    options.undo = undo;
+    options.cluster.undo = undo;
     const auto start = std::chrono::steady_clock::now();
     const ScenarioResult r =
         run_scenario(workload, ProtocolKind::kLotec, options);

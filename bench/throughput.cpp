@@ -40,7 +40,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -48,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "json_out.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tail_attribution.hpp"
@@ -155,15 +155,6 @@ struct ModeOutcome {
   std::vector<std::string> window_histogram_names;
   TailAttribution tail;
 };
-
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const double idx = p / 100.0 * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(idx));
-  const auto hi = static_cast<std::size_t>(std::ceil(idx));
-  return v[lo] + (v[hi] - v[lo]) * (idx - static_cast<double>(lo));
-}
 
 ModeOutcome run_mode(const Workload& workload, const Options& opt,
                      bool batching, bool wire, const std::string& worker_path,

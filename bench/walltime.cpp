@@ -15,11 +15,11 @@
 // still runs from unusual layouts.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "json_out.hpp"
 #include "runtime/cluster.hpp"
 #include "sim/scenarios.hpp"
@@ -47,16 +47,6 @@ ClusterConfig make_config(bool wire, const std::string& worker_path) {
   cfg.wire.enabled = wire;
   cfg.wire.worker_path = worker_path;
   return cfg;
-}
-
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const double idx = p / 100.0 * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(idx));
-  const std::size_t hi = static_cast<std::size_t>(std::ceil(idx));
-  const double frac = idx - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
 ModeOutcome run_mode(const Workload& workload, bool wire,

@@ -30,16 +30,9 @@ ScheduleOutcome ScheduleChecker::run_schedule(Strategy& strategy,
   fanout.add(&serializability);
   fanout.set_strategy(&strategy);
 
-  ClusterConfig cfg;
+  ClusterConfig cfg = opts_.cluster;
   cfg.nodes = opts_.scenario.nodes;
-  cfg.protocol = opts_.protocol;
-  cfg.page_size = opts_.page_size;
-  cfg.seed = opts_.seed;
-  cfg.lock_cache = opts_.lock_cache;
-  cfg.lock_cache_capacity = opts_.lock_cache_capacity;
   cfg.mv_read = opts_.scenario.mv_read;
-  cfg.net.batch_messages = opts_.batch_messages;
-  cfg.test_mutations.break_retention = opts_.break_retention;
   cfg.check_sink = &fanout;
   if (!chrome_out.empty()) {
     cfg.obs.trace_spans = true;
@@ -181,11 +174,11 @@ CheckReport ScheduleChecker::run() {
   std::unique_ptr<Strategy> strategy;
   switch (opts_.mode) {
     case ExploreMode::kRandom:
-      strategy = std::make_unique<RandomWalkStrategy>(opts_.seed);
+      strategy = std::make_unique<RandomWalkStrategy>(opts_.cluster.seed);
       break;
     case ExploreMode::kPct:
-      strategy =
-          std::make_unique<PctStrategy>(opts_.seed, opts_.pct_changepoints);
+      strategy = std::make_unique<PctStrategy>(opts_.cluster.seed,
+                                               opts_.pct_changepoints);
       break;
     case ExploreMode::kDfs:
       strategy = std::make_unique<DfsStrategy>(opts_.dfs_max_depth);

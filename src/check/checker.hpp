@@ -21,6 +21,7 @@
 #include "check/scenarios.hpp"
 #include "check/strategy.hpp"
 #include "protocol/protocol.hpp"
+#include "runtime/config.hpp"
 #include "workload/generator.hpp"
 
 namespace lotec::check {
@@ -29,18 +30,17 @@ enum class ExploreMode : std::uint8_t { kRandom, kPct, kDfs };
 
 struct CheckOptions {
   CheckScenario scenario = check_tiny();
-  ProtocolKind protocol = ProtocolKind::kLotec;
-  std::uint32_t page_size = 256;
-  std::uint64_t seed = 42;
-  bool lock_cache = false;
-  std::size_t lock_cache_capacity = 0;
-  /// Explore schedules with message batching on (NetworkConfig::
-  /// batch_messages).  Batching is physical-only, so the oracles must stay
-  /// green with the knob in either position.
-  bool batch_messages = false;
-  /// The hidden mutation switch (tests / demo): break Moss retention and
-  /// let the checker find the counterexample.
-  bool break_retention = false;
+  /// The cluster every schedule builds afresh.  The scenario supplies
+  /// `nodes` and `mv_read`; the checker installs its own check_sink and
+  /// schedule_picker.  `seed` also seeds the random and PCT strategies.
+  /// Knobs under exploration (lock_cache, net.batch_messages, the
+  /// test_mutations switches) are set here like on any cluster.
+  ClusterConfig cluster = [] {
+    ClusterConfig cfg;
+    cfg.page_size = 256;
+    cfg.seed = 42;
+    return cfg;
+  }();
 
   ExploreMode mode = ExploreMode::kRandom;
   std::uint64_t max_schedules = 1000;

@@ -75,7 +75,7 @@ struct HistogramSnapshot {
 
 /// Fixed-bucket latency histogram over logical-tick durations.  Recording
 /// takes a leaf mutex — histogram samples come from span ends, which are
-/// serialized under the deterministic scheduler and rare otherwise.
+/// serialized under the token scheduler.
 class LatencyHistogram {
  public:
   void record(std::uint64_t ticks) noexcept;

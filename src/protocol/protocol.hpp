@@ -20,9 +20,13 @@
 // demand fetch is legal; whether releases push eagerly.
 #pragma once
 
+#include <algorithm>
+#include <cctype>
 #include <memory>
+#include <string>
 #include <string_view>
 
+#include "common/error.hpp"
 #include "common/page_set.hpp"
 #include "gdo/page_map.hpp"
 #include "page/object_image.hpp"
@@ -44,6 +48,22 @@ inline constexpr std::size_t kNumProtocols = 5;
     case ProtocolKind::kLotecDsd: return "LOTEC-DSD";
   }
   return "?";
+}
+
+/// Inverse of to_string, ignoring case: "lotec-dsd" and "LOTEC-DSD" both
+/// name kLotecDsd.  Throws UsageError on an unknown name.
+[[nodiscard]] inline ProtocolKind parse_protocol(std::string_view name) {
+  for (std::size_t i = 0; i < kNumProtocols; ++i) {
+    const auto kind = static_cast<ProtocolKind>(i);
+    const std::string_view canon = to_string(kind);
+    if (std::equal(name.begin(), name.end(), canon.begin(), canon.end(),
+                   [](char a, char b) {
+                     return std::toupper(static_cast<unsigned char>(a)) == b;
+                   }))
+      return kind;
+  }
+  throw UsageError("unknown protocol '" + std::string(name) +
+                   "' (cotec|otec|lotec|rc|lotec-dsd)");
 }
 
 class ConsistencyProtocol {

@@ -460,6 +460,14 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
       summary.needs_write_lock ? LockMode::kWrite : LockMode::kRead;
   const LocalAcquireOutcome outcome =
       family_.locks().try_local_acquire(txn, object, mode);
+  const auto fetch_predicted = [&] {
+    ObjectImage& img = local_image(object);
+    const PageSet fetch =
+        core_.protocol_for(core_.meta_of(object))
+            .pages_to_transfer(node_, img, object_maps_.at(object),
+                               summary.predicted_pages);
+    fetch_pages(object, img, fetch, /*demand=*/false);
+  };
 
   if (outcome == LocalAcquireOutcome::kGranted) {
     core_.transport.record_local_lock_op();
@@ -476,21 +484,18 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
     // first transfer skipped; they are still described accurately by the
     // cached page map (no other family can have changed them while the
     // family holds the lock).
-    ObjectImage& img = local_image(object);
-    const PageSet fetch = core_.protocol_for(core_.meta_of(object)).pages_to_transfer(
-        node_, img, object_maps_.at(object), summary.predicted_pages);
-    fetch_pages(object, img, fetch, /*demand=*/false);
+    fetch_predicted();
     return;
   }
 
   // Lock-cache fast path: a compatible cached (idle) global lock at this
   // site re-activates with zero network messages.
-  if (outcome == LocalAcquireOutcome::kNeedGlobal &&
-      try_cache_regrant(txn, object, mode, /*prefetch=*/false)) {
-    ObjectImage& img = local_image(object);
-    const PageSet fetch = core_.protocol_for(core_.meta_of(object)).pages_to_transfer(
-        node_, img, object_maps_.at(object), summary.predicted_pages);
-    fetch_pages(object, img, fetch, /*demand=*/false);
+  const auto cache_regrant = [&] {
+    return outcome == LocalAcquireOutcome::kNeedGlobal &&
+           try_cache_regrant(txn, object, mode, /*prefetch=*/false);
+  };
+  if (cache_regrant()) {
+    fetch_predicted();
     return;
   }
 
@@ -498,6 +503,14 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
   ScopedSpan gdo_round(&core_.obs.tracer, SpanPhase::kGdoRound,
                        family_.id().value(), node_.value(), object.value());
   core_.scheduler->preempt(index_);  // interleaving point at a global op
+  // Another family at this site may have retained the lock while we were
+  // preempted.  Look again: the directory silently drops a requester's own
+  // cached marker, trusting that the site consulted its cache first, so
+  // going remote now would strand that family's deferred report.
+  if (cache_regrant()) {
+    fetch_predicted();
+    return;
+  }
   AcquireResult res = core_.gdo.acquire(object, txn.id(), node_, mode);
   bool upgrade = outcome == LocalAcquireOutcome::kNeedUpgrade;
   PageMap granted_map;
@@ -537,11 +550,7 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
     pin_here(mine, object);
     mine.touch(object);
   }
-
-  ObjectImage& img = local_image(object);
-  const PageSet fetch = core_.protocol_for(core_.meta_of(object)).pages_to_transfer(
-      node_, img, object_maps_.at(object), summary.predicted_pages);
-  fetch_pages(object, img, fetch, /*demand=*/false);
+  fetch_predicted();
 }
 
 void FamilyRunner::run_prefetch(const Transaction& root) {
@@ -559,16 +568,25 @@ void FamilyRunner::run_prefetch(const Transaction& root) {
         core_.registry.get(meta.cls).summary(method);
     const LockMode mode =
         summary.needs_write_lock ? LockMode::kWrite : LockMode::kRead;
-    if (try_cache_regrant(root, object, mode, /*prefetch=*/true)) {
+    const auto fetch_predicted = [&] {
       ObjectImage& img = local_image(object);
       const PageSet fetch = core_.protocol_for(meta).pages_to_transfer(
           node_, img, object_maps_.at(object), summary.predicted_pages);
       fetch_pages(object, img, fetch, /*demand=*/false);
+    };
+    if (try_cache_regrant(root, object, mode, /*prefetch=*/true)) {
+      fetch_predicted();
       continue;
     }
-    any_remote = any_remote || core_.gdo.home_of(object) != node_;
+    const bool remote = core_.gdo.home_of(object) != node_;
 
     core_.scheduler->preempt(index_);
+    // As in acquire_for: the lock may have been retained here meanwhile.
+    if (try_cache_regrant(root, object, mode, /*prefetch=*/true)) {
+      fetch_predicted();
+      continue;
+    }
+    any_remote = any_remote || remote;
     AcquireResult res = core_.gdo.acquire(object, root.id(), node_, mode);
     PageMap granted_map;
     if (res.status == AcquireStatus::kQueued) {
@@ -598,10 +616,7 @@ void FamilyRunner::run_prefetch(const Transaction& root) {
       pin_here(mine, object);
       mine.touch(object);
     }
-    ObjectImage& img = local_image(object);
-    const PageSet fetch = core_.protocol_for(meta).pages_to_transfer(
-        node_, img, object_maps_.at(object), summary.predicted_pages);
-    fetch_pages(object, img, fetch, /*demand=*/false);
+    fetch_predicted();
   }
   prefetch_batch_ = false;
   // The point of pre-acquisition is pipelining: model the whole batch as a
@@ -778,8 +793,8 @@ void FamilyRunner::fetch_pages(ObjectId object, ObjectImage& image,
         image.install_page(p, std::move(page));
       }
       for (auto& [p, patch] : patched) {
-        // A raced eviction of the base copy (concurrent mode) voids the
-        // patch; the freshness check re-fetches the full page on demand.
+        // A missing base copy voids the patch; the freshness check
+        // re-fetches the full page on demand.
         if (!image.has_page(p)) continue;
         patch.version = std::max(patch.version, map.at(p).version);
         image.patch_page(p, patch);
@@ -1195,7 +1210,7 @@ void FamilyRunner::abort_family(AbortReason /*reason*/) {
     (void)core_.gdo.cancel_waiter(blocked_on_, family_.id());
     blocked_on_ = ObjectId{};
   }
-  // A grant may have raced with victimization (concurrent mode): the GDO
+  // A grant delivered before the victimization took effect: the GDO
   // already lists us as a holder even though the lock table does not.
   if (pending_grant_) {
     const ObjectId object = pending_grant_->object;
@@ -1225,11 +1240,11 @@ void FamilyRunner::release_all(bool commit) {
   }
 
   // Stamp new page versions BEFORE the directory publishes them so a woken
-  // family never fetches a page whose stamp lags (concurrent mode).  The
-  // version values must match what the GDO will assign: it increments the
-  // per-object counter exactly when the dirty set is non-empty — after
-  // catching up to any deferred flush folded into the release — so we
-  // pre-compute by peeking the entry's counter.
+  // family never fetches a page whose stamp lags.  The version values must
+  // match what the GDO will assign: it increments the per-object counter
+  // exactly when the dirty set is non-empty — after catching up to any
+  // deferred flush folded into the release — so we pre-compute by peeking
+  // the entry's counter.
   struct Stamped {
     ObjectId object;
     std::vector<std::pair<PageIndex, Page>> pages;

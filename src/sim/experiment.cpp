@@ -58,37 +58,6 @@ std::vector<std::pair<ObjectId, MethodId>> script_lock_set(
 
 }  // namespace
 
-ClusterConfig ExperimentOptions::to_cluster_config(
-    ProtocolKind protocol) const {
-  ClusterConfig cfg;
-  cfg.nodes = nodes;
-  cfg.protocol = protocol;
-  cfg.page_size = page_size;
-  cfg.seed = cluster_seed;
-  cfg.max_active_families = max_active_families;
-  cfg.net.multicast_capable = multicast;
-  cfg.net.batch_messages = batch_messages;
-  cfg.undo = undo;
-  cfg.cache_capacity_pages = cache_capacity_pages;
-  cfg.lock_cache = lock_cache;
-  cfg.lock_cache_capacity = lock_cache_capacity;
-  cfg.fault = fault;
-  if (fault.has_node_faults()) cfg.gdo.replicate = true;
-  cfg.gdo.ring = ring;
-  if (ring.enabled) cfg.gdo.replicate = true;  // quorum groups need it
-  cfg.obs.trace_spans = trace_spans;
-  cfg.obs.spans_jsonl = spans_jsonl;
-  cfg.obs.chrome_trace = chrome_trace;
-  cfg.obs.flight_dump = flight_dump;
-  cfg.obs.timeseries = timeseries;
-  cfg.obs.timeseries_interval = timeseries_interval;
-  cfg.obs.timeseries_jsonl = timeseries_jsonl;
-  cfg.wire = wire;
-  cfg.mv_read = mv_read;
-  cfg.mv_version_ring = mv_version_ring;
-  return cfg;
-}
-
 void ExperimentOptions::validate() const {
   if (site_locality < -1.0 || site_locality > 1.0)
     throw UsageError(
@@ -102,10 +71,9 @@ void ExperimentOptions::validate() const {
     throw UsageError(
         "ExperimentOptions: prefetch_hints assumes every family takes the "
         "locking path; disable it when read_only_fraction > 0");
-  // Everything else maps onto a ClusterConfig knob; one validator, one set
-  // of messages (and Cluster construction runs the same checks, so nothing
-  // slips through a path that skips run_scenario).
-  to_cluster_config(ProtocolKind::kLotec).validate();
+  // Cluster construction runs the same checks, so nothing slips through a
+  // path that skips run_scenario.
+  cluster.validate();
 }
 
 std::string protocol_trace_path(const std::string& base,
@@ -119,31 +87,39 @@ std::string protocol_trace_path(const std::string& base,
   return base.substr(0, dot) + tag + base.substr(dot);
 }
 
-ScenarioResult run_scenario(const Workload& workload, ProtocolKind protocol,
-                            const ExperimentOptions& options) {
-  options.validate();
-  Cluster cluster(options.to_cluster_config(protocol));
-  if (options.record_trace) cluster.stats().enable_trace(std::size_t{1} << 22);
-
+std::vector<RootRequest> make_requests(const Workload& workload,
+                                       Cluster& cluster,
+                                       const ExperimentOptions& options) {
   std::vector<RootRequest> requests =
       workload.instantiate(cluster, options.read_only_fraction);
   if (options.strip_family_kinds)
     for (RootRequest& r : requests) r.kind = FamilyKind::kReadWrite;
   if (options.site_locality >= 0.0) {
-    Rng placement(options.cluster_seed ^ 0x10CA11D1ULL);
+    Rng placement(options.cluster.seed ^ 0x10CA11D1ULL);
     for (RootRequest& r : requests)
       r.node = NodeId(static_cast<std::uint32_t>(
           placement.chance(options.site_locality)
               ? 0
-              : placement.below(options.nodes)));
+              : placement.below(options.cluster.nodes)));
   }
   if (options.prefetch_hints) {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const auto* script =
-          static_cast<const FamilyScript*>(requests[i].user_data.get());
-      requests[i].prefetch = script_lock_set(*script);
+    for (RootRequest& r : requests) {
+      const auto* script = static_cast<const FamilyScript*>(r.user_data.get());
+      r.prefetch = script_lock_set(*script);
     }
   }
+  return requests;
+}
+
+ScenarioResult run_scenario(const Workload& workload, ProtocolKind protocol,
+                            const ExperimentOptions& options) {
+  options.validate();
+  ClusterConfig cfg = options.cluster;
+  cfg.protocol = protocol;
+  Cluster cluster(cfg);
+  if (options.record_trace) cluster.stats().enable_trace(std::size_t{1} << 22);
+
+  std::vector<RootRequest> requests = make_requests(workload, cluster, options);
 
   const std::vector<TxnResult> results = cluster.execute(std::move(requests));
 
@@ -200,10 +176,13 @@ ScenarioResult run_scenario(const Workload& workload, ProtocolKind protocol,
   out.round_trips_p95 = percentile(trips, 95);
   if (const FaultEngine* engine = obs.fault_engine())
     out.fault_stats = engine->stats();
-  if (options.record_trace) out.trace = stats.trace();
+  if (options.record_trace) {
+    out.trace = stats.trace();
+    out.trace_dropped = stats.trace_dropped();
+  }
 
   out.counters = metrics.counters();
-  if (options.trace_spans) {
+  if (cfg.obs.trace_spans) {
     obs.tracer().flush_sinks();
     out.spans = obs.spans();
     out.messages = obs.messages();
@@ -219,10 +198,11 @@ std::vector<ScenarioResult> run_protocol_suite(
   out.reserve(protocols.size());
   for (const ProtocolKind p : protocols) {
     ExperimentOptions per = options;
-    if (!per.spans_jsonl.empty())
-      per.spans_jsonl = protocol_trace_path(per.spans_jsonl, p);
-    if (!per.chrome_trace.empty())
-      per.chrome_trace = protocol_trace_path(per.chrome_trace, p);
+    ObsConfig& obs = per.cluster.obs;
+    if (!obs.spans_jsonl.empty())
+      obs.spans_jsonl = protocol_trace_path(obs.spans_jsonl, p);
+    if (!obs.chrome_trace.empty())
+      obs.chrome_trace = protocol_trace_path(obs.chrome_trace, p);
     out.push_back(run_scenario(workload, p, per));
   }
   return out;

@@ -108,7 +108,7 @@ TEST(BatchingTest, BatchingRejectsFaultInjection) {
 TEST(BatchingTest, CheckerOraclesStayGreenOverBatchedSchedules) {
   check::CheckOptions opts;
   opts.scenario = check::check_tiny();
-  opts.batch_messages = true;
+  opts.cluster.net.batch_messages = true;
   opts.mode = check::ExploreMode::kRandom;
   opts.max_schedules = 40;
   opts.minimize = false;

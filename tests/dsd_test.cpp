@@ -173,8 +173,8 @@ TEST(DsdRuntimeTest, DsdNeverExceedsLotecPayload) {
   spec.seed = 93;
   const Workload workload(spec);
   ExperimentOptions options;
-  options.nodes = 4;
-  options.page_size = 1024;
+  options.cluster.nodes = 4;
+  options.cluster.page_size = 1024;
   const auto results = run_protocol_suite(
       workload, {ProtocolKind::kLotec, ProtocolKind::kLotecDsd}, options);
   EXPECT_EQ(results[0].committed, results[1].committed);

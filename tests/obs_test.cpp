@@ -314,7 +314,7 @@ TEST(SpanSerializationTest, ChromeTraceEmitsValidEventsAndMetadata) {
 TEST(SpanTracerTest, GoldenSpanTreeOnFig2Scenario) {
   const Workload workload(scenarios::medium_high_contention());
   ExperimentOptions options;
-  options.trace_spans = true;
+  options.cluster.obs.trace_spans = true;
   const ScenarioResult r =
       run_scenario(workload, ProtocolKind::kLotec, options);
   ASSERT_FALSE(r.spans.empty());
@@ -376,10 +376,10 @@ TEST(SpanTracerTest, TracingIsBitIdenticalOnTheWire) {
   spec.num_transactions = 40;
   const Workload workload(spec);
   ExperimentOptions off;
-  off.nodes = 8;
+  off.cluster.nodes = 8;
   off.record_trace = true;
   ExperimentOptions on = off;
-  on.trace_spans = true;
+  on.cluster.obs.trace_spans = true;
 
   const ScenarioResult a = run_scenario(workload, ProtocolKind::kLotec, off);
   const ScenarioResult b = run_scenario(workload, ProtocolKind::kLotec, on);

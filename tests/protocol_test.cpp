@@ -151,5 +151,21 @@ TEST(PageMapTest, WireBytesScaleWithPages) {
             3 * wire::kPageMapEntryBytes);
 }
 
+TEST(ProtocolNameTest, ParseRoundTripsEveryKind) {
+  for (std::size_t i = 0; i < kNumProtocols; ++i) {
+    const auto kind = static_cast<ProtocolKind>(i);
+    EXPECT_EQ(parse_protocol(to_string(kind)), kind);
+  }
+  // The command-line spellings are lowercase.
+  EXPECT_EQ(parse_protocol("lotec-dsd"), ProtocolKind::kLotecDsd);
+  EXPECT_EQ(parse_protocol("cotec"), ProtocolKind::kCotec);
+}
+
+TEST(ProtocolNameTest, ParseRejectsUnknownNames) {
+  EXPECT_THROW((void)parse_protocol("lotecx"), UsageError);
+  EXPECT_THROW((void)parse_protocol(""), UsageError);
+  EXPECT_THROW((void)parse_protocol("lotec-"), UsageError);
+}
+
 }  // namespace
 }  // namespace lotec

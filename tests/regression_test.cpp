@@ -82,13 +82,13 @@ TEST(SoakRegressionTest, ReadReleaseDoesNotMoveOwnership) {
             NodeId(2));
 }
 
-// soak seed 999 iteration 55: RC under the CONCURRENT scheduler used to
-// send its eager pushes AFTER releasing the lock; a slow push could then
-// overwrite a caching site's freshly committed (newer) pages with the
-// pusher's older ones, leaving the directory pointing at a version the
-// owner no longer held.  Pushes now happen before release, and installs are
-// version-guarded.  (Concurrent-mode schedule: the run is nondeterministic,
-// but the invariants must hold on every outcome.)
+// soak seed 999 iteration 55: RC used to send its eager pushes AFTER
+// releasing the lock; a slow push could then overwrite a caching site's
+// freshly committed (newer) pages with the pusher's older ones, leaving the
+// directory pointing at a version the owner no longer held.  Pushes now
+// happen before release, and installs are version-guarded.  The original
+// report came from a free-running thread scheduler; the workload still
+// stresses the same push/release path under the token scheduler.
 TEST(SoakRegressionTest, RcPushesCannotClobberSuccessorCommits) {
   WorkloadSpec spec;
   spec.num_objects = 21;
@@ -102,13 +102,59 @@ TEST(SoakRegressionTest, RcPushesCannotClobberSuccessorCommits) {
   cfg.nodes = 8;
   cfg.page_size = 512;
   cfg.protocol = ProtocolKind::kRc;
-  cfg.scheduler = SchedulerMode::kConcurrent;
   cfg.seed = 4420676621890058471ULL;
   cfg.cache_capacity_pages = 19;
   Cluster cluster(cfg);
   const Workload workload(spec);
   const auto results = cluster.execute(workload.instantiate(cluster));
   for (const auto& r : results) EXPECT_TRUE(r.committed);
+  const auto violations = validate_quiescent(cluster);
+  for (const auto& v : violations) ADD_FAILURE() << v;
+}
+
+// soak 30 1 --faults, iteration 20 (reduced): lock caching on a 2-node
+// cluster with a share of read-only families.  A family checked its site's
+// lock cache, found nothing and was preempted at the global-lock
+// interleaving point; meanwhile a sibling family at the same site committed
+// and retained the write lock with a deferred release report.  The first
+// family then went to the directory, which dropped the site's marker on the
+// assumption that the site had consulted its cache; its read retention later
+// turned the site's entry into a "clean" read entry still carrying the
+// report, and capacity eviction discarded it — the directory never learned
+// the committed versions.  Families now look at the cache again after the
+// preemption point.
+TEST(SoakRegressionTest, RetentionDuringPreemptionKeepsDeferredReport) {
+  WorkloadSpec spec;
+  spec.num_objects = 13;
+  spec.min_pages = 3;
+  spec.max_pages = 6;
+  spec.num_transactions = 116;
+  spec.contention_theta = 0.0497065;
+  spec.touched_attr_fraction = 0.394105;
+  spec.write_fraction = 0.604018;
+  spec.read_method_fraction = 0.28005;
+  spec.max_depth = 1;
+  spec.child_probability = 0.563515;
+  spec.seed = 162835788081607049ULL;
+
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.page_size = 256;
+  cfg.seed = 32868933980921213ULL;
+  cfg.protocol = ProtocolKind::kLotec;
+  cfg.gdo.replicate = true;
+  cfg.lock_cache = true;
+  cfg.lock_cache_capacity = 3;
+  // The directory home of the hot object crashes mid-batch (restarted at
+  // batch end), which shifts the interleaving onto the racy path.
+  FaultEvent crash;
+  crash.action = FaultAction::kCrashNode;
+  crash.at_tick = 391;
+  crash.node = NodeId(0);
+  cfg.fault.events.push_back(crash);
+  Cluster cluster(cfg);
+  const Workload workload(spec);
+  (void)cluster.execute(workload.instantiate(cluster, 0.3771373520046869));
   const auto violations = validate_quiescent(cluster);
   for (const auto& v : violations) ADD_FAILURE() << v;
 }

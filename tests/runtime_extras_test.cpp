@@ -134,32 +134,6 @@ TEST(RuntimeExtrasTest, ReleaseAcksAddMessagesOnly) {
   EXPECT_GT(acks_acked, 0u);
 }
 
-TEST(RuntimeExtrasTest, ConcurrentStressStaysConsistent) {
-  WorkloadSpec spec;
-  spec.num_objects = 10;
-  spec.min_pages = 1;
-  spec.max_pages = 4;
-  spec.num_transactions = 150;
-  spec.contention_theta = 0.8;
-  spec.seed = 71;
-  const Workload workload(spec);
-
-  ClusterConfig cfg;
-  cfg.nodes = 4;
-  cfg.page_size = 256;
-  cfg.protocol = ProtocolKind::kLotec;
-  cfg.scheduler = SchedulerMode::kConcurrent;
-  cfg.max_active_families = 12;
-  cfg.seed = 10;
-  Cluster cluster(cfg);
-  std::size_t committed = 0;
-  for (const auto& r : cluster.execute(workload.instantiate(cluster)))
-    committed += r.committed ? 1 : 0;
-  EXPECT_EQ(committed, spec.num_transactions);
-  const auto violations = validate_quiescent(cluster);
-  for (const auto& v : violations) ADD_FAILURE() << v;
-}
-
 TEST(RuntimeExtrasTest, MulticastOnlyAffectsRcPushTraffic) {
   const auto bytes_for = [](ProtocolKind protocol, bool multicast) {
     WorkloadSpec spec;
@@ -170,9 +144,9 @@ TEST(RuntimeExtrasTest, MulticastOnlyAffectsRcPushTraffic) {
     spec.seed = 81;
     const Workload workload(spec);
     ExperimentOptions options;
-    options.nodes = 4;
-    options.page_size = 256;
-    options.multicast = multicast;
+    options.cluster.nodes = 4;
+    options.cluster.page_size = 256;
+    options.cluster.net.multicast_capable = multicast;
     return run_scenario(workload, protocol, options).total.bytes;
   };
   // Entry-consistency protocols never push one-to-many: multicast is moot.

@@ -199,10 +199,6 @@ TEST(RingValidationTest, RejectsIncompatibleKnobs) {
   EXPECT_NE(rejection_of(cfg).find("lock_cache"), std::string::npos);
 
   cfg = ring_cfg();
-  cfg.scheduler = SchedulerMode::kConcurrent;
-  EXPECT_NE(rejection_of(cfg).find("deterministic"), std::string::npos);
-
-  cfg = ring_cfg();
   cfg.gdo.replicate = false;
   EXPECT_NE(rejection_of(cfg).find("gdo.replicate"), std::string::npos);
 }
@@ -239,22 +235,27 @@ TEST(RingValidationTest, RejectsRingFaultEventsWithoutTheRing) {
 }
 
 TEST(RingValidationTest, ExperimentOptionsRunTheSameChecks) {
-  // The sim-side options funnel through to_cluster_config().validate(), so
-  // a tool passing --rebalance plus an incompatible flag dies identically.
+  // The sim-side options validate their embedded ClusterConfig, so a tool
+  // passing --rebalance plus an incompatible flag dies identically.
   ExperimentOptions opt;
-  opt.nodes = 4;
-  opt.ring.enabled = true;  // options path force-enables gdo.replicate
+  opt.cluster = ring_cfg();
   EXPECT_NO_THROW(opt.validate());
 
-  opt.mv_read = true;
+  opt.cluster.mv_read = true;
   EXPECT_THROW(opt.validate(), UsageError);
-  opt.mv_read = false;
+  opt.cluster.mv_read = false;
 
-  opt.wire.enabled = true;
+  opt.cluster.wire.enabled = true;
   EXPECT_THROW(opt.validate(), UsageError);
-  opt.wire.enabled = false;
+  opt.cluster.wire.enabled = false;
 
-  opt.lock_cache = true;
+  opt.cluster.lock_cache = true;
+  EXPECT_THROW(opt.validate(), UsageError);
+
+  // The ring's quorum groups need gdo.replicate, and nothing turns it on
+  // behind the caller's back.
+  opt.cluster.lock_cache = false;
+  opt.cluster.gdo.replicate = false;
   EXPECT_THROW(opt.validate(), UsageError);
 }
 

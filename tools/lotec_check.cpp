@@ -57,15 +57,6 @@ void usage() {
       "\nExit codes: 0 clean, 1 violation found, 2 usage error.\n";
 }
 
-ProtocolKind parse_protocol(const std::string& name) {
-  if (name == "cotec") return ProtocolKind::kCotec;
-  if (name == "otec") return ProtocolKind::kOtec;
-  if (name == "lotec") return ProtocolKind::kLotec;
-  if (name == "rc") return ProtocolKind::kRc;
-  if (name == "lotec-dsd") return ProtocolKind::kLotecDsd;
-  throw UsageError("unknown protocol '" + name + "'");
-}
-
 ExploreMode parse_mode(const std::string& name) {
   if (name == "random") return ExploreMode::kRandom;
   if (name == "pct") return ExploreMode::kPct;
@@ -83,14 +74,15 @@ bool parse_one(Args& args, const std::string& arg) {
   else if (key == "--scenario") args.opts.scenario = check_scenario(val);
   else if (key == "--schedules") args.opts.max_schedules = u();
   else if (key == "--budget") args.opts.budget_seconds = std::stod(val);
-  else if (key == "--seed") args.opts.seed = u();
+  else if (key == "--seed") args.opts.cluster.seed = u();
   else if (key == "--changepoints")
     args.opts.pct_changepoints = static_cast<std::uint32_t>(u());
   else if (key == "--depth") args.opts.dfs_max_depth = u();
-  else if (key == "--protocol") args.opts.protocol = parse_protocol(val);
+  else if (key == "--protocol")
+    args.opts.cluster.protocol = parse_protocol(val);
   else if (key == "--lock-cache") {
-    args.opts.lock_cache = true;
-    args.opts.lock_cache_capacity = val.empty() ? 0 : u();
+    args.opts.cluster.lock_cache = true;
+    args.opts.cluster.lock_cache_capacity = val.empty() ? 0 : u();
   }
   else if (key == "--no-minimize") args.opts.minimize = false;
   else if (key == "--minimize-replays") args.opts.max_minimize_replays = u();
@@ -99,7 +91,8 @@ bool parse_one(Args& args, const std::string& arg) {
   else if (key == "--replay") args.replay_path = val;
   // Undocumented: the mutation demo — break Moss retained-lock inheritance
   // and let the oracles find the counterexample (tests/check_explore).
-  else if (key == "--break-retention") args.opts.break_retention = true;
+  else if (key == "--break-retention")
+    args.opts.cluster.test_mutations.break_retention = true;
   else return false;
   return true;
 }
@@ -142,8 +135,8 @@ int main(int argc, char** argv) {
                          : args.opts.mode == ExploreMode::kPct  ? "pct"
                                                                 : "dfs";
       std::cout << "exploring scenario '" << args.opts.scenario.name
-                << "' under " << to_string(args.opts.protocol) << ", mode="
-                << mode << ", max " << args.opts.max_schedules
+                << "' under " << to_string(args.opts.cluster.protocol)
+                << ", mode=" << mode << ", max " << args.opts.max_schedules
                 << " schedules\n";
       report = checker.run();
     }

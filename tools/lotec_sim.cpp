@@ -104,21 +104,13 @@ void usage() {
       "                       wire.deliver span per delivered frame\n";
 }
 
-ProtocolKind parse_protocol(const std::string& name) {
-  if (name == "cotec") return ProtocolKind::kCotec;
-  if (name == "otec") return ProtocolKind::kOtec;
-  if (name == "lotec") return ProtocolKind::kLotec;
-  if (name == "rc") return ProtocolKind::kRc;
-  if (name == "lotec-dsd") return ProtocolKind::kLotecDsd;
-  throw UsageError("unknown protocol '" + name + "'");
-}
-
 bool parse_one(Args& args, const std::string& arg) {
   const auto eq = arg.find('=');
   const std::string key = arg.substr(0, eq);
   const std::string val = eq == std::string::npos ? "" : arg.substr(eq + 1);
   const auto u = [&] { return static_cast<std::size_t>(std::stoull(val)); };
   const auto f = [&] { return std::stod(val); };
+  ClusterConfig& cfg = args.options.cluster;
 
   if (key == "--objects") args.spec.num_objects = u();
   else if (key == "--min-pages") args.spec.min_pages = u();
@@ -134,17 +126,16 @@ bool parse_one(Args& args, const std::string& arg) {
   else if (key == "--coverage") args.spec.prediction_coverage = f();
   else if (key == "--seed") args.spec.seed = std::stoull(val);
   else if (key == "--flat") args.spec.hierarchical_targets = false;
-  else if (key == "--nodes") args.options.nodes = u();
-  else if (key == "--page-size") args.options.page_size =
+  else if (key == "--nodes") cfg.nodes = u();
+  else if (key == "--page-size") cfg.page_size =
       static_cast<std::uint32_t>(u());
-  else if (key == "--cache") args.options.cache_capacity_pages = u();
-  else if (key == "--multicast") args.options.multicast = true;
-  else if (key == "--batch") args.options.batch_messages = true;
+  else if (key == "--cache") cfg.cache_capacity_pages = u();
+  else if (key == "--multicast") cfg.net.multicast_capable = true;
+  else if (key == "--batch") cfg.net.batch_messages = true;
   else if (key == "--prefetch") args.options.prefetch_hints = true;
   else if (key == "--read-fraction") args.options.read_only_fraction = f();
-  else if (key == "--mv-read") args.options.mv_read = true;
-  else if (key == "--shadow-pages") args.options.undo =
-      UndoStrategy::kShadowPage;
+  else if (key == "--mv-read") cfg.mv_read = true;
+  else if (key == "--shadow-pages") cfg.undo = UndoStrategy::kShadowPage;
   else if (key == "--protocols") {
     args.protocols.clear();
     std::stringstream ss(val);
@@ -155,17 +146,20 @@ bool parse_one(Args& args, const std::string& arg) {
   else if (key == "--per-object") args.per_object = true;
   else if (key == "--time-model") args.time_model = true;
   else if (key == "--validate") args.validate = true;
-  else if (key == "--trace") args.trace_path = val;
+  else if (key == "--trace") {
+    args.trace_path = val;
+    args.options.record_trace = true;
+  }
   else if (key == "--spans") {
-    args.options.trace_spans = true;
-    args.options.spans_jsonl = val;
-    args.options.chrome_trace = val + ".chrome.json";
+    cfg.obs.trace_spans = true;
+    cfg.obs.spans_jsonl = val;
+    cfg.obs.chrome_trace = val + ".chrome.json";
   }
   else if (key == "--faults") {
     args.faults = true;
     if (!val.empty()) args.fault_seed = std::stoull(val);
   }
-  else if (key == "--flight-dump") args.options.flight_dump = val;
+  else if (key == "--flight-dump") cfg.obs.flight_dump = val;
   else if (key == "--scenario") {
     const std::uint64_t keep_seed = args.spec.seed;
     if (val == "fig2") args.spec = scenarios::medium_high_contention();
@@ -178,12 +172,12 @@ bool parse_one(Args& args, const std::string& arg) {
   }
   else if (key == "--counters-out") args.counters_out = val;
   else if (key == "--distributed") {
-    args.options.wire.enabled = true;
-    if (!val.empty()) args.options.nodes = u();
+    cfg.wire.enabled = true;
+    if (!val.empty()) cfg.nodes = u();
   }
-  else if (key == "--tcp") args.options.wire.tcp = true;
-  else if (key == "--worker") args.options.wire.worker_path = val;
-  else if (key == "--worker-spans") args.options.wire.worker_spans = val;
+  else if (key == "--tcp") cfg.wire.tcp = true;
+  else if (key == "--worker") cfg.wire.worker_path = val;
+  else if (key == "--worker-spans") cfg.wire.worker_spans = val;
   else return false;
   return true;
 }
@@ -243,34 +237,33 @@ int main(int argc, char** argv) {
     }
   }
 
+  ClusterConfig& cfg = args.options.cluster;
   if (args.faults) {
     // Built after the flag loop so --nodes takes effect regardless of flag
     // order.  Victims: node 1 (a directory home under the default
-    // partitioning) and the last node; run_scenario turns on GDO
-    // replication automatically for node faults.
-    args.options.fault = fault_presets::chaos(
-        NodeId(1),
-        NodeId(static_cast<std::uint32_t>(args.options.nodes - 1)),
+    // partitioning) and the last node; node faults need GDO replication.
+    cfg.fault = fault_presets::chaos(
+        NodeId(1), NodeId(static_cast<std::uint32_t>(cfg.nodes - 1)),
         args.fault_seed);
+    cfg.gdo.replicate = true;
   }
 
   const Workload workload(args.spec);
   std::cout << "workload: " << workload.num_objects() << " objects, "
             << args.spec.num_transactions << " roots, "
             << workload.total_script_nodes() << " invocations, theta="
-            << args.spec.contention_theta << ", nodes=" << args.options.nodes
-            << "\n";
+            << args.spec.contention_theta << ", nodes=" << cfg.nodes << "\n";
 
   std::vector<ScenarioResult> results;
   for (const ProtocolKind protocol : args.protocols) {
     ExperimentOptions options = args.options;
-    if (args.protocols.size() > 1 && options.trace_spans) {
-      options.spans_jsonl = protocol_trace_path(options.spans_jsonl, protocol);
-      options.chrome_trace =
-          protocol_trace_path(options.chrome_trace, protocol);
+    ObsConfig& obs = options.cluster.obs;
+    if (args.protocols.size() > 1 && obs.trace_spans) {
+      obs.spans_jsonl = protocol_trace_path(obs.spans_jsonl, protocol);
+      obs.chrome_trace = protocol_trace_path(obs.chrome_trace, protocol);
     }
-    if (args.protocols.size() > 1 && !options.flight_dump.empty())
-      options.flight_dump = protocol_trace_path(options.flight_dump, protocol);
+    if (args.protocols.size() > 1 && !obs.flight_dump.empty())
+      obs.flight_dump = protocol_trace_path(obs.flight_dump, protocol);
     results.push_back(run_scenario(workload, protocol, options));
   }
 
@@ -290,9 +283,9 @@ int main(int argc, char** argv) {
               << " -> " << args.counters_out << "\n";
   }
 
-  if (args.options.wire.enabled)
-    std::cout << "\nwire: " << args.options.nodes << " worker processes over "
-              << (args.options.wire.tcp ? "TCP loopback" : "unix sockets")
+  if (cfg.wire.enabled)
+    std::cout << "\nwire: " << cfg.nodes << " worker processes over "
+              << (cfg.wire.tcp ? "TCP loopback" : "unix sockets")
               << "; per-worker delivery ledgers cross-checked against "
                  "shipped counters\n";
 
@@ -304,13 +297,13 @@ int main(int argc, char** argv) {
       std::cout << to_string(results[i].protocol) << " crashes=" << fs.crashes
                 << " restarts=" << fs.restarts << " dropped=" << fs.dropped;
     }
-    if (!args.options.flight_dump.empty())
-      std::cout << "\nflight recorder -> " << args.options.flight_dump
+    if (!cfg.obs.flight_dump.empty())
+      std::cout << "\nflight recorder -> " << cfg.obs.flight_dump
                 << " (one dump per crash; later crashes get .2, .3, ...)";
     std::cout << "\n";
   }
 
-  if (args.options.trace_spans) {
+  if (cfg.obs.trace_spans) {
     std::cout << "\nspans: ";
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (i) std::cout << ", ";
@@ -319,8 +312,8 @@ int main(int argc, char** argv) {
     }
     std::cout << " -> "
               << (args.protocols.size() == 1
-                      ? args.options.spans_jsonl
-                      : protocol_trace_path(args.options.spans_jsonl,
+                      ? cfg.obs.spans_jsonl
+                      : protocol_trace_path(cfg.obs.spans_jsonl,
                                             args.protocols.front()) + " ...")
               << " (+ .chrome.json)\n";
   }
@@ -363,37 +356,28 @@ int main(int argc, char** argv) {
   }
 
   if (!args.trace_path.empty()) {
-    // Re-run the last protocol with tracing on and dump the CSV.
-    ClusterConfig cfg;
-    cfg.nodes = args.options.nodes;
-    cfg.page_size = args.options.page_size;
-    cfg.protocol = args.protocols.back();
-    cfg.seed = args.options.cluster_seed;
-    cfg.cache_capacity_pages = args.options.cache_capacity_pages;
-    Cluster cluster(cfg);
-    ClusterObservation obs = cluster.observe();
-    obs.stats().enable_trace(1u << 22);
-    (void)cluster.execute(workload.instantiate(cluster));
+    // The last protocol's reported run recorded its trace (--trace sets
+    // record_trace), so the CSV matches the table row for row.
+    const ScenarioResult& last = results.back();
     std::ofstream out(args.trace_path);
-    dump_trace_csv(obs.stats().trace(), out);
-    std::cout << "\ntrace: " << obs.stats().trace().size()
-              << " messages -> " << args.trace_path;
-    if (obs.stats().trace_dropped() > 0)
-      std::cout << " (" << obs.stats().trace_dropped() << " dropped)";
+    dump_trace_csv(last.trace, out);
+    std::cout << "\ntrace: " << last.trace.size() << " messages -> "
+              << args.trace_path;
+    if (last.trace_dropped > 0)
+      std::cout << " (" << last.trace_dropped << " dropped)";
     std::cout << "\n";
   }
 
   if (args.validate) {
-    // Re-run the last protocol on a fresh cluster and validate it (the
-    // harness tears its clusters down; validation needs a live one).
-    ClusterConfig cfg;
-    cfg.nodes = args.options.nodes;
-    cfg.page_size = args.options.page_size;
-    cfg.protocol = args.protocols.back();
-    cfg.seed = args.options.cluster_seed;
-    cfg.cache_capacity_pages = args.options.cache_capacity_pages;
-    Cluster cluster(cfg);
-    (void)cluster.execute(workload.instantiate(cluster));
+    // Re-run the last protocol on a fresh cluster with the same config and
+    // requests, and validate it (the harness tears its clusters down;
+    // validation needs a live one).  The re-run writes no span or flight
+    // files: observability never changes traffic.
+    ClusterConfig rerun = cfg;
+    rerun.protocol = args.protocols.back();
+    rerun.obs = ObsConfig{};
+    Cluster cluster(rerun);
+    (void)cluster.execute(make_requests(workload, cluster, args.options));
     const auto violations = validate_quiescent(cluster);
     if (violations.empty()) {
       std::cout << "\nvalidation: all quiescent-state invariants hold\n";
