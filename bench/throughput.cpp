@@ -4,14 +4,14 @@
 // arrival — not its dispatch — so a saturated system shows queueing delay
 // instead of hiding it, the classic coordinated-omission correction).
 //
-// Every mode runs twice, batching off and on, and the bench is the gate for
-// the batching contract:
-//   - the logical ledgers (per-kind messages/bytes, commits) must be
-//     bit-identical across the knob — batching is physical-only;
-//   - with the knob on, physical frame count must drop by at least
-//     --min-savings (default 15%) on this mix.
-// Either failure exits non-zero, so CI catches both a semantic leak and a
-// batching path that silently stopped coalescing.
+// The mix runs once per transport, and the bench is the gate for the
+// batching contract (PROTOCOL.md 13: directory rounds always coalesce):
+//   - physical sends must come in at least --min-savings (default 15%)
+//     below logical sends, with every saved send accounted as a join;
+//   - the wire transport must account the same logical traffic as the
+//     in-process one.
+// Either failure exits non-zero, so CI catches both a batching path that
+// silently stopped coalescing and a transport that changed semantics.
 //
 // Determinism: the logical schedule does not depend on wall time (pacing
 // only sleeps between blocking execute() waves), so committed counts,
@@ -70,17 +70,17 @@ struct Options {
   bool distributed = false;
   /// When positive, add a paired read-heavy row set: the same mix with this
   /// share of families submitted read-only, run with mv_read off and on
-  /// (in-process, unbatched).  The base rows are unaffected — they always
+  /// (in-process).  The base rows are unaffected — they always
   /// run at fraction 0 — so the committed baseline stays comparable.
   double read_fraction = 0.0;
-  /// Acceptance floor for the batching rows: physical sends must come in
-  /// at least this fraction below logical sends.  The default holds on the
+  /// Acceptance floor for the base rows: physical sends must come in at
+  /// least this fraction below logical sends.  The default holds on the
   /// canonical Zipfian mix; exploratory runs (e.g. cold multi-million
   /// object populations dominated by unbatchable page fetches) can relax
   /// it with --min-savings.
   double min_savings = 0.15;
   /// Telemetry plane (PROTOCOL.md §16): install a TimeseriesCollector on
-  /// the in-process runs, stream the inproc batch=off run's windows to
+  /// the in-process run, stream its windows to
   /// --timeseries-jsonl, emit per-window BenchJson rows, and print a
   /// population tail-attribution table.  Off by default; the base rows are
   /// bit-identical either way (the collector never sends).
@@ -157,7 +157,7 @@ struct ModeOutcome {
 };
 
 ModeOutcome run_mode(const Workload& workload, const Options& opt,
-                     bool batching, bool wire, const std::string& worker_path,
+                     bool wire, const std::string& worker_path,
                      double read_fraction = 0.0, bool mv_read = false,
                      bool telemetry = false,
                      const std::string& telemetry_jsonl = {}) {
@@ -166,7 +166,6 @@ ModeOutcome run_mode(const Workload& workload, const Options& opt,
   cfg.seed = opt.seed;
   cfg.gdo.replicate = true;  // the paper's GDO is replicated; gives the
                              // release rounds replica-sync fan-out to batch
-  cfg.net.batch_messages = batching;
   cfg.obs.trace_spans = true;
   cfg.wire.enabled = wire;
   cfg.wire.worker_path = worker_path;
@@ -344,38 +343,31 @@ void report(const std::string& label, const ModeOutcome& m) {
 
 /// The batching contract, checked per transport.  Returns the number of
 /// violations (0 = clean).
-int check_pair(const std::string& transport, const ModeOutcome& off,
-               const ModeOutcome& on, double min_savings) {
+int check_batching(const std::string& transport, const ModeOutcome& m,
+                   double min_savings) {
   int failures = 0;
-  if (on.committed != off.committed || on.total.messages != off.total.messages ||
-      on.total.bytes != off.total.bytes) {
-    std::cerr << "FAIL [" << transport << "]: logical ledger changed with "
-              << "batching on: " << off.committed << "/" << off.total.messages
-              << "/" << off.total.bytes << " vs " << on.committed << "/"
-              << on.total.messages << "/" << on.total.bytes << '\n';
-    ++failures;
-  }
-  if (off.joins != 0 || off.physical.messages != off.total.messages) {
-    std::cerr << "FAIL [" << transport << "]: knob off but physical ledger "
-              << "diverged from logical\n";
+  if (m.joins == 0 || m.physical.messages + m.joins != m.total.messages) {
+    std::cerr << "FAIL [" << transport << "]: " << m.physical.messages
+              << " physical sends + " << m.joins << " joins != "
+              << m.total.messages << " logical sends\n";
     ++failures;
   }
   const double savings =
-      on.total.messages > 0
-          ? 1.0 - static_cast<double>(on.physical.messages) /
-                      static_cast<double>(on.total.messages)
+      m.total.messages > 0
+          ? 1.0 - static_cast<double>(m.physical.messages) /
+                      static_cast<double>(m.total.messages)
           : 0.0;
   if (savings < min_savings) {
     std::cerr << "FAIL [" << transport << "]: batching saved only "
               << savings * 100.0 << "% of sends (< "
               << min_savings * 100.0 << "% floor): "
-              << on.physical.messages << " frames for " << on.total.messages
+              << m.physical.messages << " frames for " << m.total.messages
               << " logical messages\n";
     ++failures;
   } else {
     std::cout << transport << ": batching saved " << savings * 100.0
-              << "% of physical sends (" << on.total.messages << " -> "
-              << on.physical.messages << " frames)\n";
+              << "% of physical sends (" << m.total.messages << " -> "
+              << m.physical.messages << " frames)\n";
   }
   return failures;
 }
@@ -386,25 +378,21 @@ int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
   const Workload workload(make_spec(opt));
 
-  const ModeOutcome off =
-      run_mode(workload, opt, false, false, "", 0.0, false, opt.timeseries,
+  const ModeOutcome inproc =
+      run_mode(workload, opt, false, "", 0.0, false, opt.timeseries,
                opt.timeseries ? opt.timeseries_jsonl : std::string());
-  report("inproc batch=off", off);
-  const ModeOutcome on = run_mode(workload, opt, true, false, "", 0.0, false,
-                                  opt.timeseries);
-  report("inproc batch=on ", on);
+  report("inproc", inproc);
 
-  int failures = check_pair("inproc", off, on, opt.min_savings);
+  int failures = check_batching("inproc", inproc, opt.min_savings);
 
   bench::BenchJson json("throughput");
-  emit_row(json, "inproc_batch_off", off);
-  emit_row(json, "inproc_batch_on", on);
+  emit_row(json, "inproc", inproc);
 
   if (opt.timeseries) {
-    std::cout << "timeseries: " << off.windows.size() << " windows of "
+    std::cout << "timeseries: " << inproc.windows.size() << " windows of "
               << opt.window << " msgs -> " << opt.timeseries_jsonl << '\n';
-    emit_window_rows(json, off);
-    failures += emit_tail(json, off);
+    emit_window_rows(json, inproc);
+    failures += emit_tail(json, inproc);
   }
 
   bool wire_ran = false;
@@ -416,34 +404,30 @@ int main(int argc, char** argv) {
       std::cout << "wire rows skipped: " << e.what() << '\n';
     }
     if (!worker_path.empty()) {
-      const ModeOutcome woff = run_mode(workload, opt, false, true,
-                                        worker_path);
-      report("wire   batch=off", woff);
-      const ModeOutcome won = run_mode(workload, opt, true, true,
-                                       worker_path);
-      report("wire   batch=on ", won);
-      failures += check_pair("wire", woff, won, opt.min_savings);
+      const ModeOutcome wire = run_mode(workload, opt, true, worker_path);
+      report("wire  ", wire);
+      failures += check_batching("wire", wire, opt.min_savings);
       // The wire transport must account the same logical traffic as the
       // in-process one — the walltime bench's cross-transport gate, upheld
       // here too.
-      if (woff.total.messages != off.total.messages ||
-          woff.total.bytes != off.total.bytes) {
+      if (wire.committed != inproc.committed ||
+          wire.total.messages != inproc.total.messages ||
+          wire.total.bytes != inproc.total.bytes) {
         std::cerr << "FAIL: accounted traffic diverged between transports\n";
         ++failures;
       }
-      emit_row(json, "wire_batch_off", woff);
-      emit_row(json, "wire_batch_on", won);
+      emit_row(json, "wire", wire);
       wire_ran = true;
     }
   }
   if (opt.read_fraction > 0.0) {
     // Read-heavy pair: the same mix with a read-only population, lock path
-    // vs snapshot path.  Gated on the snapshot contract, not on batching:
+    // vs snapshot path.  Gated on the snapshot contract:
     // same outcomes, strictly less lock traffic, snapshot reads happening.
-    const ModeOutcome roff = run_mode(workload, opt, false, false, "",
+    const ModeOutcome roff = run_mode(workload, opt, false, "",
                                       opt.read_fraction, /*mv_read=*/false);
     report("readfrac mv=off ", roff);
-    const ModeOutcome ron = run_mode(workload, opt, false, false, "",
+    const ModeOutcome ron = run_mode(workload, opt, false, "",
                                      opt.read_fraction, /*mv_read=*/true);
     report("readfrac mv=on  ", ron);
     if (ron.committed != roff.committed) {

@@ -33,8 +33,8 @@ struct CheckOptions {
   /// The cluster every schedule builds afresh.  The scenario supplies
   /// `nodes` and `mv_read`; the checker installs its own check_sink and
   /// schedule_picker.  `seed` also seeds the random and PCT strategies.
-  /// Knobs under exploration (lock_cache, net.batch_messages, the
-  /// test_mutations switches) are set here like on any cluster.
+  /// Knobs under exploration (lock_cache, the test_mutations switches)
+  /// are set here like on any cluster.
   ClusterConfig cluster = [] {
     ClusterConfig cfg;
     cfg.page_size = 256;

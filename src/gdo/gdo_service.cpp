@@ -531,7 +531,7 @@ void GdoService::revoke_conflicting_cached(ObjectId id, GdoEntry& e,
                    SpanPhase::kCallbackRound, 0, serving.value(), id.value());
   // One revocation round = one batch window: repeated callbacks from the
   // serving node (and the replica syncs apply_flush triggers) coalesce per
-  // destination when batching is on.
+  // destination.
   BatchWindow window(transport_);
   for (const NodeId site : targets) {
     const std::size_t i = e.cached_index(site);
@@ -584,6 +584,7 @@ void GdoService::revoke_conflicting_cached(ObjectId id, GdoEntry& e,
       e.cached.erase(e.cached.begin() + static_cast<std::ptrdiff_t>(i));
     }
   }
+  window.close();
 }
 
 void GdoService::register_object(ObjectId id, std::size_t num_pages,
@@ -911,8 +912,7 @@ BatchReleaseResult GdoService::release_batch(
   // experiments report, and the locking traffic is identical across the
   // compared protocols anyway.  The batch window below changes none of
   // that — it only lets the per-object release/replica-sync messages bound
-  // for the same destination share one physical frame when
-  // net.batch_messages is on.
+  // for the same destination share one physical frame.
   BatchWindow window(transport_);
   BatchReleaseResult res;
   for (const auto& item : items) {
@@ -921,6 +921,7 @@ BatchReleaseResult GdoService::release_batch(
     res.stamped_versions[item.object] = one.stamped_version;
     for (auto& g : one.wakeups) res.wakeups.push_back(std::move(g));
   }
+  window.close();
   return res;
 }
 

@@ -145,9 +145,9 @@ class NetworkStats {
   }
 
   /// Physical wire traffic: frames actually put on the network after
-  /// batching.  Equals total() exactly when batching is off (or never
-  /// coalesced anything); with batching on, messages here counts frames and
-  /// bytes reflects the per-entry header saving.
+  /// batching.  messages counts frames (total().messages minus
+  /// batched_joins()) and bytes reflects the per-entry header saving;
+  /// equals total() only for a run whose rounds never coalesced.
   [[nodiscard]] TrafficCounter physical() const {
     std::lock_guard<std::mutex> lock(mu_);
     return physical_;

@@ -141,18 +141,11 @@ class MessageProbe {
 
 struct NetworkConfig {
   bool multicast_capable = false;
-  /// Coalesce same-round directory traffic (release, replica-sync, callback
-  /// rounds) to one destination into one physical batch frame.  Off by
-  /// default: the figures' logical per-kind counters are identical either
-  /// way, but the physical ledger and wire-transport framing change, so the
-  /// knob must be explicit.  Incompatible with the fault engine (batched
-  /// tails defer their acks, which would mask per-message fault verdicts);
-  /// ClusterConfig::validate enforces that.
-  bool batch_messages = false;
 };
 
 /// Which message kinds may join a batch frame: round traffic the directory
-/// emits in bursts to the same destination within one protocol action.
+/// emits in bursts to the same destination within one protocol action
+/// (release, replica-sync and callback rounds; PROTOCOL.md 13).
 /// Grants, wakeups and fetches stay unbatched — their recipients act on
 /// them immediately and reordering relative to the round would change the
 /// schedule.
@@ -256,7 +249,7 @@ class Transport {
     // Batching decides the PHYSICAL fate only, after every per-message
     // semantic above (tick, stamp, probe, fault verdict, reachability) has
     // run unchanged — which is why the logical ledgers and the checker's
-    // schedules are bit-identical whether the knob is on or off.
+    // schedules do not depend on how rounds are framed.
     const bool joined = note_batch(m);
     stats_.record(m, joined);
     for (std::size_t i = 0; i < extra; ++i) stats_.record(m);
@@ -273,29 +266,23 @@ class Transport {
   /// batch-eligible messages to the same (src, dst) pair join the pair's
   /// open batch frame instead of paying a physical send.  Windows are
   /// opened around one protocol round (a release batch, a callback round);
-  /// nesting is allowed and coalescing spans the outermost window.  No-ops
-  /// when batching is off.
-  void begin_batch_window() {
-    if (!config_.batch_messages) return;
-    ++batch_depth_;
-  }
-  void end_batch_window() {
-    if (!config_.batch_messages || batch_depth_ == 0) return;
-    if (--batch_depth_ == 0) {
-      // Mark the flush point in the trace when the window actually
-      // coalesced something (object carries the join count); instants send
-      // nothing, so traffic stays identical.
-      if (tracer_ != nullptr && window_joins_ > 0)
-        tracer_->instant(SpanPhase::kBatchFlush, 0, 0, window_joins_);
-      window_joins_ = 0;
-      open_batches_.clear();
-      on_batch_window_end();
-    }
+  /// nesting is allowed and coalescing spans the outermost window.  Closing
+  /// the outermost window flushes (wire transport: waits out deferred acks,
+  /// and may throw NodeUnreachable); with `flush` false the flush is left
+  /// to the transport's next flush point, so closing cannot throw.
+  void begin_batch_window() noexcept { ++batch_depth_; }
+  void end_batch_window(bool flush = true) {
+    if (batch_depth_ == 0 || --batch_depth_ > 0) return;
+    // Mark the flush point in the trace when the window actually coalesced
+    // something (object carries the join count); instants send nothing, so
+    // traffic stays identical.
+    if (tracer_ != nullptr && window_joins_ > 0)
+      tracer_->instant(SpanPhase::kBatchFlush, 0, 0, window_joins_);
+    window_joins_ = 0;
+    open_batches_.clear();
+    if (flush) on_batch_window_end();
   }
 
-  [[nodiscard]] bool batching_enabled() const noexcept {
-    return config_.batch_messages;
-  }
   /// Whether the most recent send() joined an open batch (the wire
   /// transport reads this to defer the per-message ack wait).
   [[nodiscard]] bool last_send_joined() const noexcept {
@@ -430,19 +417,31 @@ class Transport {
   bool last_send_joined_ = false;
 };
 
-/// RAII batch window (no-op when batching is disabled).
+/// Scoped batch window.  The opener calls close() on its normal path,
+/// where a failed deferred-ack flush surfaces as NodeUnreachable like any
+/// other send failure.  The destructor is only the fallback for an
+/// exception unwinding through the round: it closes without flushing, so
+/// nothing can throw out of it (the wire transport resolves those acks at
+/// its next flush point: a window close, a crash event or the batch end).
 class BatchWindow {
  public:
   explicit BatchWindow(Transport& transport) noexcept
       : transport_(transport) {
     transport_.begin_batch_window();
   }
-  ~BatchWindow() { transport_.end_batch_window(); }
+  ~BatchWindow() {
+    if (open_) transport_.end_batch_window(/*flush=*/false);
+  }
+  void close() {
+    open_ = false;
+    transport_.end_batch_window();
+  }
   BatchWindow(const BatchWindow&) = delete;
   BatchWindow& operator=(const BatchWindow&) = delete;
 
  private:
   Transport& transport_;
+  bool open_ = true;
 };
 
 }  // namespace lotec

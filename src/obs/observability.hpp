@@ -26,10 +26,6 @@ struct ObsConfig {
   /// When non-empty (and trace_spans), write Chrome trace-event JSON here
   /// on flush (open in Perfetto via `trace_report spans`).
   std::string chrome_trace;
-  /// Keep the always-on flight recorder (independent of trace_spans).
-  bool flight_recorder = true;
-  /// Ring capacity per node (events retained for the post-mortem).
-  std::size_t flight_recorder_capacity = 512;
   /// When non-empty, the fault engine dumps the recorder here on every
   /// node-crash event (second crash appends ".2", and so on).
   std::string flight_dump;
@@ -48,6 +44,10 @@ struct ObsConfig {
 };
 
 struct Observability {
+  /// Flight-recorder ring capacity per node (events retained for the
+  /// post-mortem).
+  static constexpr std::size_t kFlightRecorderCapacity = 512;
+
   MetricsRegistry metrics;
   SpanTracer tracer;
   std::unique_ptr<FlightRecorder> recorder;
@@ -57,9 +57,9 @@ struct Observability {
   /// the cluster's node count) and enable/attach span sinks.
   void configure(const ObsConfig& cfg, std::size_t nodes = 0) {
     tracer.set_registry(&metrics);
-    if (cfg.flight_recorder && nodes > 0) {
+    if (nodes > 0) {
       recorder = std::make_unique<FlightRecorder>(
-          nodes, cfg.flight_recorder_capacity);
+          nodes, kFlightRecorderCapacity);
       tracer.set_flight_recorder(recorder.get());
     }
     if (cfg.timeseries) {

@@ -84,12 +84,6 @@ void ClusterConfig::validate() const {
           "ClusterConfig: mv_read requires mv_version_ring >= 1 (a reader "
           "overlapping a writer needs at least the before-image retained)");
   }
-  if (net.batch_messages && fault.enabled())
-    throw UsageError(
-        "ClusterConfig: net.batch_messages cannot be combined with fault "
-        "injection — batched tails defer their delivery acknowledgement, "
-        "which would mask per-message fault verdicts; run faults with "
-        "batching off");
   if (gdo.ring.enabled) {
     if (!gdo.replicate)
       throw UsageError(

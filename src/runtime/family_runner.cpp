@@ -672,6 +672,21 @@ bool FamilyRunner::try_cache_regrant(const Transaction& txn, ObjectId object,
   return true;
 }
 
+FamilyRunner::PagesBySource FamilyRunner::group_by_source(
+    const std::vector<PageIndex>& pages, const PageMap& map) {
+  const std::size_t n_nodes = core_.nodes.size();
+  auto* offsets = scratch_.allocate_array<std::uint32_t>(n_nodes + 1);
+  for (std::size_t i = 0; i <= n_nodes; ++i) offsets[i] = 0;
+  for (const PageIndex p : pages) ++offsets[map.at(p).node.value() + 1];
+  for (std::size_t i = 0; i < n_nodes; ++i) offsets[i + 1] += offsets[i];
+  auto* grouped = scratch_.allocate_array<PageIndex>(pages.size());
+  auto* cursor = scratch_.allocate_array<std::uint32_t>(n_nodes);
+  std::copy_n(offsets, n_nodes, cursor);
+  for (const PageIndex p : pages)
+    grouped[cursor[map.at(p).node.value()]++] = p;
+  return {grouped, offsets};
+}
+
 void FamilyRunner::fetch_pages(ObjectId object, ObjectImage& image,
                                PageSet pages, bool demand) {
   if (pages.empty()) return;
@@ -682,29 +697,10 @@ void FamilyRunner::fetch_pages(ObjectId object, ObjectImage& image,
     throw Error("fetch_pages without a cached page map");
   PageMap& map = mit->second;
 
-  // Group wanted pages per source site, visited in node-id order — the same
-  // deterministic traffic as the sorted map this replaces.  The grouping is
-  // a stable counting sort over attempt-scoped arena scratch, so the hot
-  // fetch path allocates nothing from the heap.
   const std::vector<PageIndex> wanted_all = pages.to_vector();
-  const std::size_t n_nodes = core_.nodes.size();
-  auto* counts = scratch_.allocate_array<std::uint32_t>(n_nodes);
-  for (std::size_t i = 0; i < n_nodes; ++i) counts[i] = 0;
-  for (const PageIndex p : wanted_all) {
-    const PageLocation& loc = map.at(p);
-    if (loc.node == node_)
-      throw Error("fetch_pages: newest copy of the page is already local");
-    ++counts[loc.node.value()];
-  }
-  auto* offsets = scratch_.allocate_array<std::uint32_t>(n_nodes + 1);
-  offsets[0] = 0;
-  for (std::size_t i = 0; i < n_nodes; ++i)
-    offsets[i + 1] = offsets[i] + counts[i];
-  auto* grouped = scratch_.allocate_array<PageIndex>(wanted_all.size());
-  auto* cursor = scratch_.allocate_array<std::uint32_t>(n_nodes);
-  for (std::size_t i = 0; i < n_nodes; ++i) cursor[i] = offsets[i];
-  for (const PageIndex p : wanted_all)
-    grouped[cursor[map.at(p).node.value()]++] = p;
+  const PagesBySource groups = group_by_source(wanted_all, map);
+  if (!groups.at(node_.value()).empty())
+    throw Error("fetch_pages: newest copy of the page is already local");
 
   // DSD mode (Section 4.2/6): ship only the changed byte ranges for pages
   // whose local copy is exactly one version behind.  The request then
@@ -721,10 +717,10 @@ void FamilyRunner::fetch_pages(ObjectId object, ObjectImage& image,
       if (image.has_page(p)) my_versions[p.value()] = image.page_version(p);
   }
 
-  for (std::size_t s = 0; s < n_nodes; ++s) {
-    if (counts[s] == 0) continue;
+  for (std::size_t s = 0; s < core_.nodes.size(); ++s) {
+    const std::span<const PageIndex> wanted = groups.at(s);
+    if (wanted.empty()) continue;
     const NodeId source(static_cast<std::uint32_t>(s));
-    const std::span<const PageIndex> wanted(grouped + offsets[s], counts[s]);
     core_.transport.send(
         {demand ? MessageKind::kDemandFetchRequest
                 : MessageKind::kPageFetchRequest,
@@ -1016,32 +1012,14 @@ void FamilyRunner::snapshot_fetch(ObjectId object, const PageSet& missing) {
   ScopedSpan gather(&core_.obs.tracer, SpanPhase::kSnapshotFetch,
                     family_.id().value(), node_.value(), object.value());
 
-  // Group per owning site, visited in node-id order (same deterministic
-  // traffic discipline as fetch_pages).
-  const std::vector<PageIndex> wanted_all = missing.to_vector();
-  const std::size_t n_nodes = core_.nodes.size();
-  auto* counts = scratch_.allocate_array<std::uint32_t>(n_nodes);
-  for (std::size_t i = 0; i < n_nodes; ++i) counts[i] = 0;
-  for (const PageIndex p : wanted_all) {
-    const NodeId owner = map.at(p).node;
-    if (owner == node_)
-      // The map says the version is already here, but snapshot_page could
-      // not resolve it: the ring entry was trimmed before we registered, or
-      // the live page moved past our stamp.  Retry under a fresh stamp.
-      throw SnapshotUnavailableError(
-          "snapshot version owned locally but unresolvable, object " +
-          std::to_string(object.value()));
-    ++counts[owner.value()];
-  }
-  auto* offsets = scratch_.allocate_array<std::uint32_t>(n_nodes + 1);
-  offsets[0] = 0;
-  for (std::size_t i = 0; i < n_nodes; ++i)
-    offsets[i + 1] = offsets[i] + counts[i];
-  auto* grouped = scratch_.allocate_array<PageIndex>(wanted_all.size());
-  auto* cursor = scratch_.allocate_array<std::uint32_t>(n_nodes);
-  for (std::size_t i = 0; i < n_nodes; ++i) cursor[i] = offsets[i];
-  for (const PageIndex p : wanted_all)
-    grouped[cursor[map.at(p).node.value()]++] = p;
+  const PagesBySource groups = group_by_source(missing.to_vector(), map);
+  if (!groups.at(node_.value()).empty())
+    // The map says the version is already here, but snapshot_page could
+    // not resolve it: the ring entry was trimmed before we registered, or
+    // the live page moved past our stamp.  Retry under a fresh stamp.
+    throw SnapshotUnavailableError(
+        "snapshot version owned locally but unresolvable, object " +
+        std::to_string(object.value()));
 
   struct Fetched {
     PageIndex page{};
@@ -1049,11 +1027,10 @@ void FamilyRunner::snapshot_fetch(ObjectId object, const PageSet& missing) {
     Lsn version = 0;
     std::uint64_t tick = 0;
   };
-  for (std::size_t sidx = 0; sidx < n_nodes; ++sidx) {
-    if (counts[sidx] == 0) continue;
+  for (std::size_t sidx = 0; sidx < core_.nodes.size(); ++sidx) {
+    const std::span<const PageIndex> wanted = groups.at(sidx);
+    if (wanted.empty()) continue;
     const NodeId source(static_cast<std::uint32_t>(sidx));
-    const std::span<const PageIndex> wanted(grouped + offsets[sidx],
-                                            counts[sidx]);
     core_.scheduler->preempt(index_);
     core_.transport.send({MessageKind::kSnapshotFetchRequest, node_, source,
                           object,
@@ -1475,8 +1452,9 @@ PageSet MethodContext::check_access(AttrId attr, bool write) const {
   const bool declared = write ? method_.writes.contains(attr)
                               : (method_.reads.contains(attr) ||
                                  method_.writes.contains(attr));
-  if (!declared && !method_.may_access_undeclared &&
-      runner_.core_.config.strict_access_checks) {
+  // The compiler's conservative analysis must cover every access; methods
+  // with data-dependent accesses set MethodDef::may_access_undeclared.
+  if (!declared && !method_.may_access_undeclared) {
     throw UsageError("method '" + method_.name + "' " +
                      (write ? "writes" : "reads") +
                      " undeclared attribute '" +

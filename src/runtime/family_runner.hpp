@@ -101,6 +101,20 @@ class FamilyRunner {
   /// this site still carries for it.
   ReleaseItem make_release_item(ObjectId object, bool commit);
 
+  /// `pages` grouped by the site `map` names for each, in input order: a
+  /// stable counting sort over attempt-scoped arena scratch (no heap on the
+  /// fetch paths).  Callers visit groups in node-id order, which keeps
+  /// their traffic deterministic.
+  struct PagesBySource {
+    const PageIndex* pages;
+    const std::uint32_t* offsets;  // group s: [offsets[s], offsets[s + 1])
+    [[nodiscard]] std::span<const PageIndex> at(std::size_t s) const {
+      return {pages + offsets[s], offsets[s + 1] - offsets[s]};
+    }
+  };
+  PagesBySource group_by_source(const std::vector<PageIndex>& pages,
+                                const PageMap& map);
+
   /// Fetch `pages` of `object` from the sites the cached page map names,
   /// grouped per source site.  Updates the cached map to point here.
   void fetch_pages(ObjectId object, ObjectImage& image, PageSet pages,

@@ -1,6 +1,7 @@
 #include "wire/wire_transport.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -89,6 +90,18 @@ Frame WireTransport::read_reply(std::uint32_t node, std::uint64_t correlation,
   }
 }
 
+void WireTransport::write_data_frame(std::uint32_t src, const Frame& f) {
+  if (!conns_[src].valid()) reconnect(src);
+  write_full(conns_[src], encode_frame(f));
+  static const std::array<std::byte, 64 * 1024> zeros{};
+  for (std::uint64_t left = f.payload_bytes; left > 0;) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(left, zeros.size()));
+    write_full(conns_[src], std::span<const std::byte>(zeros.data(), n));
+    left -= n;
+  }
+}
+
 void WireTransport::ship(const WireMessage& m, std::uint32_t dst,
                          bool deferred) {
   const std::uint32_t src = m.src.value();
@@ -101,19 +114,7 @@ void WireTransport::ship(const WireMessage& m, std::uint32_t dst,
     // a hard connection failure, mapped to the same NodeUnreachable the
     // retry exhaustion path produces.
     try {
-      if (!conns_[src].valid()) reconnect(src);
-      write_full(conns_[src], encode_frame(f));
-      if (f.payload_bytes > 0) {
-        static const std::array<std::byte, 64 * 1024> zeros{};
-        std::uint64_t left = f.payload_bytes;
-        while (left > 0) {
-          const std::size_t n = static_cast<std::size_t>(
-              std::min<std::uint64_t>(left, zeros.size()));
-          write_full(conns_[src],
-                     std::span<const std::byte>(zeros.data(), n));
-          left -= n;
-        }
-      }
+      write_data_frame(src, f);
     } catch (const SocketError&) {
       conns_[src].reset();
       ledger_complete_ = false;
@@ -127,25 +128,11 @@ void WireTransport::ship(const WireMessage& m, std::uint32_t dst,
   for (std::uint32_t attempt = 0; attempt < wire_.max_send_attempts;
        ++attempt) {
     try {
-      if (!conns_[src].valid()) reconnect(src);
-      write_full(conns_[src], encode_frame(f));
-      if (f.payload_bytes > 0) {
-        static const std::array<std::byte, 64 * 1024> zeros{};
-        std::uint64_t left = f.payload_bytes;
-        while (left > 0) {
-          const std::size_t n = static_cast<std::size_t>(
-              std::min<std::uint64_t>(left, zeros.size()));
-          write_full(conns_[src],
-                     std::span<const std::byte>(zeros.data(), n));
-          left -= n;
-        }
-      }
+      write_data_frame(src, f);
       const Frame reply =
           read_reply(src, f.correlation, deadline_after(timeout));
       if (reply.type == FrameType::kAck) {
-        auto& counts = shipped_[static_cast<std::size_t>(m.kind)];
-        counts.messages += 1;
-        counts.bytes += m.total_bytes();
+        note_shipped(m.kind, m.total_bytes());
         return;
       }
       // Nack: the relay chain reported the destination unreachable or a
@@ -197,18 +184,23 @@ void WireTransport::flush_deferred(std::uint32_t src) {
     ledger_complete_ = false;
     throw NodeUnreachable(NodeId(src), last_dst);
   }
-  for (const PendingShip& p : pending) {
-    auto& counts = shipped_[static_cast<std::size_t>(p.kind)];
-    counts.messages += 1;
-    counts.bytes += p.total_bytes;
-  }
+  for (const PendingShip& p : pending) note_shipped(p.kind, p.total_bytes);
   pending.clear();
 }
 
-void WireTransport::on_batch_window_end() {
-  for (std::uint32_t src = 0; src < deferred_.size(); ++src)
-    flush_deferred(src);
+void WireTransport::flush_all_deferred() {
+  std::optional<NodeUnreachable> first;
+  for (std::uint32_t src = 0; src < deferred_.size(); ++src) {
+    try {
+      flush_deferred(src);
+    } catch (const NodeUnreachable& e) {
+      if (!first) first = e;
+    }
+  }
+  if (first) throw *first;
 }
+
+void WireTransport::on_batch_window_end() { flush_all_deferred(); }
 
 void WireTransport::send(const WireMessage& m) {
   // Base class: tracer tick, causal stamp, probe, fault hooks,
@@ -242,6 +234,16 @@ std::vector<NodeId> WireTransport::send_to_all(
 }
 
 void WireTransport::set_node_failed(NodeId node, bool failed) {
+  if (failed) {
+    // Frames shipped before the crash event count as delivered, as they do
+    // in-process: resolve every deferred ack while the worker still runs.
+    // A flush that fails anyway has marked the ledger incomplete; the
+    // crash proceeds regardless (this runs inside a fault event).
+    try {
+      flush_all_deferred();
+    } catch (const NodeUnreachable&) {
+    }
+  }
   Transport::set_node_failed(node, failed);
   const std::uint32_t k = node.value();
   if (failed) {
@@ -251,8 +253,6 @@ void WireTransport::set_node_failed(NodeId node, bool failed) {
       ledger_complete_ = false;
     }
     conns_[k].reset();
-    // Acks owed by the dead incarnation will never arrive.
-    deferred_[k].clear();
     stray_replies_[k].clear();
   } else if (!supervisor_->alive(k)) {
     supervisor_->respawn_worker(k);
@@ -261,10 +261,10 @@ void WireTransport::set_node_failed(NodeId node, bool failed) {
 }
 
 void WireTransport::on_batch_complete() {
-  // Defensive: a well-formed run has no open window here, but the ledger
-  // cross-check below requires every shipped frame resolved.
-  for (std::uint32_t src = 0; src < deferred_.size(); ++src)
-    flush_deferred(src);
+  // No window is open here, but one an exception unwound through closed
+  // without flushing, and the ledger cross-check below requires every
+  // shipped frame resolved.
+  flush_all_deferred();
   gathered_ = WorkerLedger{};
   for (std::uint32_t k = 0; k < conns_.size(); ++k) {
     if (!supervisor_->alive(k)) {

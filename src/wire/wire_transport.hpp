@@ -20,10 +20,12 @@
 // (ack_timeout_ms doubling, max_send_attempts) and then surface as
 // NodeUnreachable(src, dst) — the exact exception the runtime's existing
 // retry/recovery paths (PR 1 lease/epoch recovery) already handle.
-// set_node_failed(node, true) kills the real worker process (SIGKILL);
-// recovery respawns it on the same pre-bound listen socket.  Any kill
-// marks the ledger incomplete and downgrades the batch-end cross-check
-// (a dead incarnation's deliveries died with it).
+// set_node_failed(node, true) first resolves every deferred batch ack (so
+// frames shipped before a crash count as delivered, as in-process), then
+// kills the real worker process (SIGKILL); recovery respawns it on the
+// same pre-bound listen socket.  Any kill marks the ledger incomplete and
+// downgrades the batch-end cross-check (a dead incarnation's deliveries
+// died with it).
 #pragma once
 
 #include <cstdint>
@@ -103,6 +105,15 @@ class WireTransport final : public Transport {
 
   void handshake(std::uint32_t node);
   void reconnect(std::uint32_t node);
+  /// Write one Data frame (header plus zero-filled payload) to
+  /// worker[src], reconnecting first if the link is down.  Throws
+  /// SocketError on a torn write.
+  void write_data_frame(std::uint32_t src, const Frame& f);
+  /// Count one acknowledged frame into shipped_.
+  void note_shipped(MessageKind kind, std::uint64_t bytes) {
+    ++shipped_[static_cast<std::size_t>(kind)].messages;
+    shipped_[static_cast<std::size_t>(kind)].bytes += bytes;
+  }
   /// One physical delivery attempt cycle with retry/backoff; counts the
   /// frame into shipped_ on success, throws NodeUnreachable on exhaustion.
   /// With `deferred` set (the message joined an open batch) the frame is
@@ -113,6 +124,9 @@ class WireTransport final : public Transport {
   /// Wait out the deferred-ack queue of worker[src]; counts the flushed
   /// frames into shipped_ or throws NodeUnreachable on a Nack/timeout.
   void flush_deferred(std::uint32_t src);
+  /// flush_deferred for every worker; a failing queue does not stop the
+  /// others, and the first failure is rethrown once all are resolved.
+  void flush_all_deferred();
   /// Read frames from worker[node]'s connection until an Ack/Nack matching
   /// `correlation` arrives.  Skipped Ack/Nack frames are remembered in
   /// stray_replies_[node] — they are the acknowledgements of earlier

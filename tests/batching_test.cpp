@@ -1,16 +1,18 @@
-// Message batching (NetworkConfig::batch_messages) is a physical-only
-// optimisation: the logical ledgers — totals, per-kind, per-object — must be
-// bit-identical whether the knob is on or off, while the physical frame
-// count drops whenever directory rounds coalesce.  These tests pin that
-// contract on a real workload, and run the schedule checker's oracles over
-// batched schedules to show the protocol semantics are untouched.
+// Message batching is a physical-only optimisation and the only send path:
+// every directory round (release, replica-sync, callback) coalesces traffic
+// to one destination into one frame, while the logical ledgers — totals,
+// per-kind, per-object — stay exactly what the protocol sent (the golden
+// counts in message_count_test pin them).  These tests pin the frame cut on
+// a real workload, show it composes with crashes and message chaos, and run
+// the schedule checker's oracles over batched schedules to show the
+// protocol semantics are untouched.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 
 #include "check/checker.hpp"
-#include "sim/experiment.hpp"
+#include "check/oracles.hpp"
+#include "fault/fault_engine.hpp"
 #include "sim/validate.hpp"
 #include "workload/generator.hpp"
 
@@ -34,81 +36,71 @@ WorkloadSpec batching_spec() {
   return spec;
 }
 
-struct RunLedger {
-  TrafficCounter total;
-  TrafficCounter physical;
-  std::uint64_t joins = 0;
-  std::array<TrafficCounter, static_cast<std::size_t>(MessageKind::kNumKinds)>
-      by_kind;
-  std::size_t committed = 0;
-};
-
-RunLedger run_once(bool batching, bool replicate_gdo) {
+ClusterConfig batching_config() {
   ClusterConfig cfg;
   cfg.nodes = 4;
   cfg.page_size = 256;
   cfg.protocol = ProtocolKind::kLotec;
   cfg.seed = 10;
-  cfg.net.batch_messages = batching;
-  cfg.gdo.replicate = replicate_gdo;
+  cfg.gdo.replicate = true;  // replica-sync fan-out gives rounds to coalesce
+  return cfg;
+}
+
+/// Every saved physical send is one logical message that joined a frame.
+void expect_frame_cut(const NetworkStats& stats) {
+  const TrafficCounter total = stats.total();
+  const TrafficCounter physical = stats.physical();
+  EXPECT_GT(stats.batched_joins(), 0u);
+  EXPECT_EQ(physical.messages + stats.batched_joins(), total.messages);
+  EXPECT_LT(physical.messages, total.messages);
+  EXPECT_LT(physical.bytes, total.bytes);
+}
+
+TEST(BatchingTest, RoundsCoalesceIntoFewerFrames) {
+  Cluster cluster(batching_config());
+  const Workload workload(batching_spec());
+  std::size_t committed = 0;
+  for (const auto& r : cluster.execute(workload.instantiate(cluster)))
+    committed += r.committed ? 1 : 0;
+  EXPECT_EQ(committed, batching_spec().num_transactions);
+  expect_frame_cut(cluster.stats());
+  for (const auto& v : validate_quiescent(cluster)) ADD_FAILURE() << v;
+}
+
+TEST(BatchingTest, BatchedRoundsComposeWithCrashesAndChaos) {
+  // Transport::send runs the fault verdict and the reachability check on
+  // every message before the batch decision, so crashes, restarts and
+  // drops land on batched rounds exactly as on single messages.
+  check::SerializabilityOracle ser;
+  check::LockDisciplineOracle lock;
+  check::CoherenceOracle coherence;
+  check::CacheEpochOracle cache;
+  check::FanoutSink fanout;
+  check::OracleBase* oracles[] = {&ser, &lock, &coherence, &cache};
+  for (check::OracleBase* o : oracles) fanout.add(o);
+
+  ClusterConfig cfg = batching_config();
+  cfg.fault = fault_presets::chaos(NodeId(1), NodeId(3), /*seed=*/7,
+                                   /*first_crash_tick=*/200, /*window=*/300,
+                                   /*drop=*/0.02);
+  cfg.check_sink = &fanout;
   Cluster cluster(cfg);
   const Workload workload(batching_spec());
-  RunLedger ledger;
-  for (const auto& r : cluster.execute(workload.instantiate(cluster)))
-    ledger.committed += r.committed ? 1 : 0;
-  const NetworkStats& stats = cluster.stats();
-  ledger.total = stats.total();
-  ledger.physical = stats.physical();
-  ledger.joins = stats.batched_joins();
-  for (std::size_t k = 0; k < ledger.by_kind.size(); ++k)
-    ledger.by_kind[k] = stats.by_kind(static_cast<MessageKind>(k));
-  const auto violations = validate_quiescent(cluster);
-  for (const auto& v : violations) ADD_FAILURE() << v;
-  return ledger;
-}
+  (void)cluster.execute(workload.instantiate(cluster));
 
-TEST(BatchingTest, KnobOffPhysicalLedgerEqualsLogical) {
-  const RunLedger off = run_once(/*batching=*/false, /*replicate_gdo=*/false);
-  EXPECT_EQ(off.joins, 0u);
-  EXPECT_EQ(off.physical.messages, off.total.messages);
-  EXPECT_EQ(off.physical.bytes, off.total.bytes);
-}
-
-TEST(BatchingTest, KnobOnKeepsLogicalCountersIdenticalAndCutsFrames) {
-  const RunLedger off = run_once(/*batching=*/false, /*replicate_gdo=*/true);
-  const RunLedger on = run_once(/*batching=*/true, /*replicate_gdo=*/true);
-
-  // Same schedule, same outcomes, same logical traffic — bit for bit.
-  EXPECT_EQ(on.committed, off.committed);
-  EXPECT_EQ(on.total.messages, off.total.messages);
-  EXPECT_EQ(on.total.bytes, off.total.bytes);
-  for (std::size_t k = 0; k < off.by_kind.size(); ++k) {
-    EXPECT_EQ(on.by_kind[k].messages, off.by_kind[k].messages)
-        << to_string(static_cast<MessageKind>(k));
-    EXPECT_EQ(on.by_kind[k].bytes, off.by_kind[k].bytes)
-        << to_string(static_cast<MessageKind>(k));
-  }
-
-  // And a physically cheaper wire: every join is one frame (and most of a
-  // header) saved.
-  EXPECT_GT(on.joins, 0u);
-  EXPECT_EQ(on.physical.messages + on.joins, on.total.messages);
-  EXPECT_LT(on.physical.messages, on.total.messages);
-  EXPECT_LT(on.physical.bytes, on.total.bytes);
-}
-
-TEST(BatchingTest, BatchingRejectsFaultInjection) {
-  ClusterConfig cfg;
-  cfg.nodes = 2;
-  cfg.net.batch_messages = true;
-  cfg.fault.drop_probability = 0.1;
-  EXPECT_THROW(cfg.validate(), UsageError);
+  const FaultStats fs = cluster.fault_engine()->stats();
+  EXPECT_EQ(fs.crashes, 2u);
+  EXPECT_GT(fs.dropped, 0u);
+  expect_frame_cut(cluster.stats());
+  for (const auto& v : validate_quiescent(cluster)) ADD_FAILURE() << v;
+  for (check::OracleBase* o : oracles)
+    if (const auto v = o->finish())
+      ADD_FAILURE() << v->oracle << ": " << v->detail;
 }
 
 TEST(BatchingTest, CheckerOraclesStayGreenOverBatchedSchedules) {
   check::CheckOptions opts;
   opts.scenario = check::check_tiny();
-  opts.cluster.net.batch_messages = true;
   opts.mode = check::ExploreMode::kRandom;
   opts.max_schedules = 40;
   opts.minimize = false;

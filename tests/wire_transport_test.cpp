@@ -219,5 +219,55 @@ TEST(WireTransportTest, FaultEngineCrashRestartDrivesRealProcesses) {
   EXPECT_FALSE(wt.ledger_complete());
 }
 
+TEST(WireTransportTest, CrashInsideBatchWindowResolvesDeferredAcks) {
+  // A crash event that kills worker B while frames A->B still owe their
+  // acks must not leave the window-close flush to throw: set_node_failed
+  // resolves every deferred ack first, so frames sent before the crash
+  // count as delivered, as they do in-process.
+  wire::WireTransport wt(3, NetworkConfig{}, wire_config(3).wire);
+  const NodeId a(0), b(1);
+  const WireMessage sync{MessageKind::kGdoReplicaSync, a, b, ObjectId(1),
+                         wire::kLockRecordBytes};
+  BatchWindow window(wt);
+  wt.send(sync);  // batch head: waits for its ack
+  wt.send(sync);  // joins the frame: its ack is deferred
+  EXPECT_EQ(wt.stats().batched_joins(), 1u);
+  EXPECT_EQ(wt.deferred_pending(), 1u);
+
+  wt.set_node_failed(b, true);
+  EXPECT_EQ(wt.deferred_pending(), 0u);
+  EXPECT_NO_THROW(window.close());
+
+  const auto kind = static_cast<std::size_t>(MessageKind::kGdoReplicaSync);
+  EXPECT_EQ(wt.shipped()[kind].messages, 2u);
+  EXPECT_FALSE(wt.ledger_complete());  // the killed incarnation's ledger
+  EXPECT_FALSE(wt.supervisor().alive(b.value()));
+  EXPECT_THROW(wt.send(sync), NodeUnreachable);
+}
+
+TEST(WireTransportTest, UnwoundBatchWindowLeavesItsAcksToTheBatchEnd) {
+  // An exception unwinding through a round closes its window without a
+  // flush (nothing may throw out of the destructor); the batch-end gather
+  // resolves the deferred ack and the strict ledger check still holds.
+  wire::WireTransport wt(3, NetworkConfig{}, wire_config(3).wire);
+  const WireMessage sync{MessageKind::kGdoReplicaSync, NodeId(0), NodeId(1),
+                         ObjectId(1), wire::kLockRecordBytes};
+  try {
+    BatchWindow window(wt);
+    wt.send(sync);
+    wt.send(sync);
+    throw MessageDropped(sync);  // e.g. a fault verdict later in the round
+  } catch (const MessageDropped&) {
+  }
+  EXPECT_EQ(wt.deferred_pending(), 1u);
+
+  wt.on_batch_complete();
+  EXPECT_EQ(wt.deferred_pending(), 0u);
+  EXPECT_TRUE(wt.ledger_complete());
+  const auto kind = static_cast<std::size_t>(MessageKind::kGdoReplicaSync);
+  EXPECT_EQ(wt.shipped()[kind].messages, 2u);
+  EXPECT_EQ(wt.gathered().delivered[kind].messages, 2u);
+}
+
 }  // namespace
 }  // namespace lotec

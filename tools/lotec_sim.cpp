@@ -68,8 +68,6 @@ void usage() {
       "  --page-size=N        DSM page size in bytes (4096)\n"
       "  --cache=N            per-node cache budget in pages (0 = unbounded)\n"
       "  --multicast          multicast-capable network\n"
-      "  --batch              coalesce same-round directory traffic into\n"
-      "                       batch frames (physical-only; PROTOCOL.md 13)\n"
       "  --prefetch           Section 5.1 lock pre-acquisition hints\n"
       "  --read-fraction=F    share of families submitted as declared\n"
       "                       read-only (shadow reader scripts) (0)\n"
@@ -131,7 +129,6 @@ bool parse_one(Args& args, const std::string& arg) {
       static_cast<std::uint32_t>(u());
   else if (key == "--cache") cfg.cache_capacity_pages = u();
   else if (key == "--multicast") cfg.net.multicast_capable = true;
-  else if (key == "--batch") cfg.net.batch_messages = true;
   else if (key == "--prefetch") args.options.prefetch_hints = true;
   else if (key == "--read-fraction") args.options.read_only_fraction = f();
   else if (key == "--mv-read") cfg.mv_read = true;
