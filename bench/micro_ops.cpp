@@ -11,7 +11,7 @@
 #include "common/flat_map.hpp"
 #include "gdo/gdo_service.hpp"
 #include "page/undo_log.hpp"
-#include "ring/hash_ring.hpp"
+#include "ring/placement.hpp"
 #include "runtime/cluster.hpp"
 
 namespace lotec {
@@ -217,18 +217,11 @@ void BM_RingLookup(benchmark::State& state) {
 BENCHMARK(BM_RingLookup)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_StaticHashLookup(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  // home_of's placement: one 64-bit mix, one modulo.
-  const auto mix64 = [](std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  };
+  // home_of's static placement: one 64-bit mix, one modulo.
+  const ModuloPlacement placement(static_cast<std::size_t>(state.range(0)));
   std::uint64_t id = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(NodeId(static_cast<std::uint32_t>(
-        mix64(id) % n)));
+    benchmark::DoNotOptimize(placement.owner_of(ObjectId(id)));
     id += 7;
   }
   state.SetItemsProcessed(state.iterations());

@@ -5,13 +5,6 @@
 namespace lotec::check {
 
 namespace {
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint32_t choice_count(const std::vector<std::size_t>& runnable,
                            std::size_t spawn_candidate) noexcept {
   return static_cast<std::uint32_t>(

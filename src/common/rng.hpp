@@ -13,19 +13,25 @@
 
 namespace lotec {
 
+/// SplitMix64 finalizer: the system's one integer mixer.  It spreads object
+/// ids over directory placements and ring tokens, derives per-family and
+/// per-batch seeds, and seeds Rng.
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** by Blackman & Vigna: fast, high quality, tiny state, and —
 /// unlike std::mt19937 across standard libraries — bit-for-bit portable.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept {
     // SplitMix64 seeding, as recommended by the xoshiro authors.
-    std::uint64_t x = seed;
     for (auto& s : state_) {
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      s = z ^ (z >> 31);
+      s = mix64(seed);
+      seed += 0x9e3779b97f4a7c15ULL;
     }
   }
 

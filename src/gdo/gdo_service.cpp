@@ -8,18 +8,6 @@
 
 namespace lotec {
 
-namespace {
-
-/// SplitMix64 finalizer: spreads consecutive object ids over partitions.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 GdoService::GdoService(Transport& transport, GdoConfig config,
                        MetricsRegistry* metrics)
     : transport_(transport), config_(config),
@@ -31,131 +19,75 @@ GdoService::GdoService(Transport& transport, GdoConfig config,
   }
   stats_.resolve(*metrics);
   ring_stats_.resolve(*metrics);
-  if (config_.ring.enabled) {
-    if (config_.ring.mirror_group == 0 ||
-        config_.ring.mirror_group >= partitions_.size())
-      throw UsageError(
-          "GdoService: ring.mirror_group must lie in [1, nodes-1]; got " +
-          std::to_string(config_.ring.mirror_group) + " with " +
-          std::to_string(partitions_.size()) + " nodes");
-    ring_ = std::make_unique<RingState>();
-    HashRing initial(config_.ring.seed, config_.ring.virtual_nodes);
-    for (std::size_t n = 0; n < partitions_.size(); ++n)
-      initial.add_node(NodeId(static_cast<std::uint32_t>(n)));
-    ring_->history.push_back(std::move(initial));
-    ring_->view.assign(partitions_.size(), 0);
-  }
+  if (config_.ring.enabled)
+    placement_ = std::make_unique<RingPlacement>(
+        partitions_.size(), config_.ring.seed, config_.ring.virtual_nodes,
+        config_.ring.mirror_group);
+  else
+    placement_ = std::make_unique<ModuloPlacement>(partitions_.size());
 }
 
-NodeId GdoService::placement_of(ObjectId id) const {
-  if (ring_ == nullptr) return home_of(id);
-  std::lock_guard<std::mutex> lock(ring_->mu);
-  return current_ring().owner_of(id);
+NodeId GdoService::home_of(ObjectId id) const {
+  return placement_->owner_of(id);
+}
+
+NodeId GdoService::mirror_of(ObjectId id) const {
+  return placement_->successor(id, 1);
 }
 
 NodeId GdoService::resident_of(ObjectId id) const {
-  if (ring_ == nullptr) return home_of(id);
-  std::lock_guard<std::mutex> lock(ring_->mu);
-  const auto it = ring_->resident.find(id);
-  if (it == ring_->resident.end()) return current_ring().owner_of(id);
-  return NodeId(it->second);
+  return placement_->resident_of(id);
 }
 
-std::uint64_t GdoService::ring_epoch() const {
-  if (ring_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(ring_->mu);
-  return ring_->epoch;
-}
+std::uint64_t GdoService::ring_epoch() const { return placement_->epoch(); }
 
 std::vector<NodeId> GdoService::ring_members() const {
-  if (ring_ == nullptr) return {};
-  std::lock_guard<std::mutex> lock(ring_->mu);
-  return current_ring().members();
+  return placement_->members();
 }
 
 std::size_t GdoService::pending_migrations() const {
-  if (ring_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(ring_->mu);
-  return ring_->pending.size();
+  return placement_->pending().size();
 }
 
 std::vector<NodeId> GdoService::failover_chain(ObjectId id) const {
+  const NodeId resident = placement_->resident_of(id);
   std::vector<NodeId> chain;
-  const std::size_t n = partitions_.size();
-  if (ring_ != nullptr) {
-    const NodeId resident = resident_of(id);
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    for (const NodeId cand :
-         current_ring().successors(id, current_ring().num_members()))
-      if (cand != resident) chain.push_back(cand);
-    return chain;
+  for (std::size_t k = 1;; ++k) {
+    const NodeId cand = placement_->successor(id, k);
+    if (!cand.valid()) return chain;
+    if (cand != resident) chain.push_back(cand);
   }
-  const NodeId home = home_of(id);
-  chain.reserve(n - 1);
-  for (std::size_t k = 1; k < n; ++k)
-    chain.push_back(NodeId(static_cast<std::uint32_t>(
-        (home.value() + k) % n)));
-  return chain;
 }
 
-std::vector<NodeId> GdoService::mirror_targets(ObjectId id,
-                                               NodeId serving) const {
-  std::vector<NodeId> targets;
-  if (ring_ == nullptr) {
-    const NodeId mirror = mirror_of(id);
-    if (mirror != serving) targets.push_back(mirror);
-    return targets;
+template <class F>
+void GdoService::for_each_mirror(ObjectId id, NodeId serving, F&& f) const {
+  // The first mirror_group() successors of the owner other than `serving`
+  // (while a shard migration lags, the resident can sit among them).
+  for (std::size_t k = 1, found = 0; found < placement_->mirror_group();
+       ++k) {
+    const NodeId target = placement_->successor(id, k);
+    if (!target.valid()) return;
+    if (target == serving) continue;
+    ++found;
+    f(target);
   }
-  std::lock_guard<std::mutex> lock(ring_->mu);
-  // k distinct successors of the object's ring position, skipping the node
-  // that serves the entry itself (during migration the resident can sit in
-  // the owner's successor list).
-  for (const NodeId cand :
-       current_ring().successors(id, config_.ring.mirror_group + 1)) {
-    if (cand == serving) continue;
-    targets.push_back(cand);
-    if (targets.size() == config_.ring.mirror_group) break;
-  }
-  return targets;
+}
+
+bool GdoService::in_mirror_group(ObjectId id, NodeId serving,
+                                 NodeId node) const {
+  bool found = false;
+  for_each_mirror(id, serving, [&](NodeId t) { found = found || t == node; });
+  return found;
 }
 
 bool GdoService::ring_set_member(NodeId node, bool joined) {
-  if (ring_ == nullptr)
-    throw UsageError("GdoService: ring membership change without gdo.ring "
-                     "enabled");
   if (!node.valid() || node.value() >= partitions_.size())
     throw UsageError("GdoService: ring member out of range");
-  std::lock_guard<std::mutex> lock(ring_->mu);
-  HashRing next = current_ring();
-  if (joined) {
-    if (!next.add_node(node)) return false;
-  } else {
-    if (next.num_members() <= 1 || !next.remove_node(node)) return false;
-  }
-  ring_->history.push_back(std::move(next));
-  ++ring_->epoch;
+  if (!placement_->set_member(node, joined)) return false;
   ring_stats_.changes->add();
-  // Re-derive the migration queue: exactly the entries whose residency no
-  // longer matches the new placement (the minimal set, by ring
-  // monotonicity), ascending id for a deterministic pump order.
-  ring_->pending.clear();
-  for (const auto& [id, res] : ring_->resident)
-    if (current_ring().owner_of(id).value() != res)
-      ring_->pending.push_back(id);
-  std::sort(ring_->pending.begin(), ring_->pending.end(),
-            [](ObjectId a, ObjectId b) { return a.value() < b.value(); });
-  if (check_ != nullptr) check_->on_ring_change(ring_->epoch, node, joined);
+  if (check_ != nullptr)
+    check_->on_ring_change(placement_->epoch(), node, joined);
   return true;
-}
-
-NodeId GdoService::home_of(ObjectId id) const noexcept {
-  return NodeId(static_cast<std::uint32_t>(mix(id.value()) %
-                                           partitions_.size()));
-}
-
-NodeId GdoService::mirror_of(ObjectId id) const noexcept {
-  return NodeId(static_cast<std::uint32_t>((home_of(id).value() + 1) %
-                                           partitions_.size()));
 }
 
 namespace {
@@ -172,15 +104,19 @@ std::uint64_t entry_wire_bytes(const GdoEntry& e) noexcept {
 
 }  // namespace
 
-bool GdoService::migrate_entry(ObjectId id) {
-  NodeId from, to;
-  {
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    const auto it = ring_->resident.find(id);
-    if (it == ring_->resident.end()) return true;  // never registered
-    from = NodeId(it->second);
-    to = current_ring().owner_of(id);
+void GdoService::retire_stale_copies(ObjectId id, NodeId serving) {
+  for (std::size_t p = 0; p < partitions_.size(); ++p) {
+    const NodeId cand(static_cast<std::uint32_t>(p));
+    if (cand == serving || in_mirror_group(id, serving, cand)) continue;
+    Partition& part = partitions_[p];
+    std::lock_guard<std::mutex> lock(part.mirror_mu);
+    part.mirrors.erase(id);
   }
+}
+
+bool GdoService::migrate_entry(ObjectId id) {
+  const NodeId from = placement_->resident_of(id);
+  const NodeId to = placement_->owner_of(id);
   if (from == to) return true;  // a later change re-owned it back
   if (!transport_.reachable(to)) return false;  // target down: stay queued
 
@@ -243,7 +179,6 @@ bool GdoService::migrate_entry(ObjectId id) {
   // Handoff applied as one unit against crash events, like every directory
   // mutation: erase at the source, install at the target, re-mirror.
   FaultAtomicSection atomic(transport_.fault_hooks());
-  std::uint64_t epoch = 0;
   if (source == from && transport_.reachable(from)) {
     Partition& src = partitions_[from.value()];
     std::lock_guard<std::mutex> lock(src.mu);
@@ -254,115 +189,66 @@ bool GdoService::migrate_entry(ObjectId id) {
     std::lock_guard<std::mutex> lock(dst.mu);
     dst.entries[id] = moved;
   }
-  {
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    ring_->resident[id] = to.value();
-    epoch = ring_->epoch;
-  }
+  placement_->set_resident(id, to);
   ring_stats_.migrations->add();
-  if (check_ != nullptr) check_->on_shard_move(id, from, to, epoch);
+  if (check_ != nullptr)
+    check_->on_shard_move(id, from, to, placement_->epoch());
   // Refresh the new owner's mirror group and retire every other copy: the
-  // fenced ex-owner's mirrors freeze the moment the shard moves, and a
-  // later rebuild must not resurrect one.
-  replicate(id, moved);
-  std::vector<NodeId> keep = mirror_targets(id, to);
-  for (std::size_t p = 0; p < partitions_.size(); ++p) {
-    const NodeId cand(static_cast<std::uint32_t>(p));
-    if (cand == to) continue;
-    if (std::find(keep.begin(), keep.end(), cand) != keep.end()) continue;
-    Partition& part = partitions_[p];
-    std::lock_guard<std::mutex> lock(part.mirror_mu);
-    part.mirrors.erase(id);
-  }
+  // fenced ex-owner's mirrors freeze the moment the shard moves.
+  replicate(id, moved, to);
+  retire_stale_copies(id, to);
   return true;
 }
 
 std::size_t GdoService::pump_migrations(std::size_t budget) {
-  if (ring_ == nullptr || budget == 0) return 0;
   std::size_t moved = 0;
   // Entries that refused to move this pump (unreachable endpoint); skipped
   // for the rest of the pump and retried on the next one.
-  std::vector<std::uint64_t> blocked;
+  std::vector<ObjectId> blocked;
   for (std::size_t round = 0; round < budget; ++round) {
-    ObjectId next;
-    {
-      std::lock_guard<std::mutex> lock(ring_->mu);
-      // Pick the first movable entry (ascending id = deterministic order;
-      // migrate_entry re-takes the ring lock, so no cursor survives it).
-      bool found = false;
-      for (const ObjectId id : ring_->pending) {
-        if (std::find(blocked.begin(), blocked.end(), id.value()) !=
-            blocked.end())
-          continue;
-        next = id;
-        found = true;
-        break;
-      }
-      if (!found) break;
-    }
-    if (migrate_entry(next)) {
+    // Re-read the queue every round: a membership change fired by a
+    // migration message re-derives it.  Ascending id = deterministic order.
+    const std::vector<ObjectId> queue = placement_->pending();
+    const auto next =
+        std::find_if(queue.begin(), queue.end(), [&](ObjectId id) {
+          return std::find(blocked.begin(), blocked.end(), id) ==
+                 blocked.end();
+        });
+    if (next == queue.end()) break;
+    if (migrate_entry(*next)) {
       ++moved;
-      std::lock_guard<std::mutex> lock(ring_->mu);
-      std::erase(ring_->pending, next);
+      placement_->dequeue(*next);
     } else {
-      blocked.push_back(next.value());
+      blocked.push_back(*next);
     }
   }
   return moved;
 }
 
 void GdoService::drain_migrations() {
-  if (ring_ == nullptr) return;
-  for (;;) {
-    std::size_t pending;
-    {
-      std::lock_guard<std::mutex> lock(ring_->mu);
-      pending = ring_->pending.size();
-    }
-    if (pending == 0) return;
+  while (const std::size_t pending = placement_->pending().size())
     if (pump_migrations(pending) == 0) return;  // stuck: nothing reachable
-  }
 }
 
-void GdoService::ring_catch_up(ObjectId id) {
-  if (ring_ == nullptr) return;
-  bool queued;
-  {
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    queued = std::binary_search(
-        ring_->pending.begin(), ring_->pending.end(), id,
-        [](ObjectId a, ObjectId b) { return a.value() < b.value(); });
-  }
-  if (!queued) return;
+void GdoService::catch_up(ObjectId id) {
+  if (!placement_->queued(id)) return;
   // Priority pull: the operation needs this shard at its true owner now.
   if (migrate_entry(id)) {
     ring_stats_.pulls->add();
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    std::erase(ring_->pending, id);
+    placement_->dequeue(id);
   }
 }
 
-void GdoService::ring_prep_request(ObjectId id, NodeId requester,
-                                   MessageKind kind) {
-  if (ring_ == nullptr) return;
-  ring_catch_up(id);
-  NodeId believed;
-  bool stale = false;
-  {
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    std::uint64_t& view = ring_->view[requester.value()];
-    if (view != ring_->epoch) {
-      believed = ring_->history[view].owner_of(id);
-      view = ring_->epoch;
-      stale = true;
-    }
-  }
-  if (!stale) return;
-  const NodeId actual = resident_of(id);
+void GdoService::prep_request(ObjectId id, NodeId requester,
+                              MessageKind kind) {
+  catch_up(id);
+  const NodeId believed = placement_->refresh_view(requester, id);
+  if (!believed.valid()) return;  // the requester's view was current
   // The stale view only costs messages when it would have misrouted this
   // request to a live fenced ex-owner; a down node or a correct guess is
   // caught by the ordinary routing.
-  if (believed == actual || believed == requester) return;
+  if (believed == placement_->resident_of(id) || believed == requester)
+    return;
   if (!transport_.reachable(believed)) return;
   transport_.send({kind, requester, believed, id, wire::kLockRecordBytes});
   transport_.send({MessageKind::kShardRedirect, believed, requester, id,
@@ -374,63 +260,54 @@ void GdoService::ring_prep_request(ObjectId id, NodeId requester,
   if (check_ != nullptr) check_->on_shard_redirect(id, believed, requester);
 }
 
-void GdoService::note_serve(ObjectId id, Route r) {
-  if (ring_ == nullptr || check_ == nullptr || r.failover) return;
-  std::uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    epoch = ring_->epoch;
-  }
-  check_->on_shard_serve(id, NodeId(static_cast<std::uint32_t>(r.partition)),
-                         epoch);
-}
-
 GdoService::Route GdoService::route(ObjectId id) const {
-  if (ring_ != nullptr) {
-    const NodeId resident = resident_of(id);
-    if (transport_.reachable(resident)) return {resident.value(), false};
-    if (config_.replicate)
-      for (const NodeId cand : failover_chain(id))
-        if (transport_.reachable(cand)) return {cand.value(), true};
-    throw NodeUnreachable(resident);
-  }
-  const NodeId home = home_of(id);
-  if (transport_.reachable(home)) return {home.value(), false};
+  const NodeId resident = placement_->resident_of(id);
+  if (transport_.reachable(resident)) return {resident, false};
   if (config_.replicate) {
-    if (transport_.fault_hooks() != nullptr) {
-      // Fault-engine mode: walk the replica chain (home+1, home+2, ...) so
-      // service survives the mirror dying too — replicate_failover keeps a
-      // copy one hop ahead of every failure.
-      const std::size_t n = partitions_.size();
-      for (std::size_t k = 1; k < n; ++k) {
-        const NodeId cand(
-            static_cast<std::uint32_t>((home.value() + k) % n));
-        if (transport_.reachable(cand)) return {cand.value(), true};
-      }
-    } else {
-      const NodeId mirror = mirror_of(id);
-      if (mirror != home && transport_.reachable(mirror))
-        return {mirror.value(), true};
-    }
+    // Without the fault engine only the canonical mirror takes over.  With
+    // it the whole failover chain is walked, so service survives the
+    // mirror dying too: replicate_failover keeps a copy one hop ahead of
+    // every failure.
+    const std::vector<NodeId> chain = failover_chain(id);
+    const std::size_t depth =
+        transport_.fault_hooks() != nullptr ? chain.size() : 1;
+    for (std::size_t i = 0; i < depth && i < chain.size(); ++i)
+      if (transport_.reachable(chain[i])) return {chain[i], true};
   }
-  throw NodeUnreachable(home);
+  throw NodeUnreachable(resident);
 }
 
-GdoEntry& GdoService::find_serving(FlatMap<ObjectId, GdoEntry>& map,
-                                   ObjectId id, Route r, const char* op) {
+GdoService::Served GdoService::locate(ObjectId id, const char* op) {
+  const Route r = route(id);
+  Partition& part = partitions_[r.node.value()];
+  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
+  auto& map = r.failover ? part.mirrors : part.entries;
   const auto it = map.find(id);
   if (it == map.end()) {
     if (r.failover && transport_.fault_hooks() != nullptr) {
       // The surviving chain node has no copy of this entry (yet): the
       // object's directory data is temporarily unavailable, not misused.
-      // Callers treat this like the home being down and retry.
-      const NodeId down = ring_ != nullptr ? resident_of(id) : home_of(id);
+      // Callers treat this like the resident being down and retry.
+      const NodeId down = placement_->resident_of(id);
       throw NodeUnreachable(down, down);
     }
     throw UsageError(std::string("GdoService::") + op + ": unknown object " +
                      std::to_string(id.value()));
   }
-  return it->second;
+  return {r, std::move(lock), it->second};
+}
+
+GdoService::Served GdoService::begin_serve(ObjectId id, const char* op) {
+  Served s = locate(id, op);
+  // Unfenced serves feed the ring-ownership oracle.
+  if (check_ != nullptr && !s.route.failover)
+    check_->on_shard_serve(id, s.route.node, placement_->epoch());
+  return s;
+}
+
+void GdoService::mirror_sync(ObjectId id, const GdoEntry& entry, Route r) {
+  if (r.failover) replicate_failover(id, entry, r.node);
+  else replicate(id, entry, r.node);
 }
 
 void GdoService::stamp_epoch(WaiterFamily& w) const {
@@ -590,64 +467,37 @@ void GdoService::revoke_conflicting_cached(ObjectId id, GdoEntry& e,
 void GdoService::register_object(ObjectId id, std::size_t num_pages,
                                  NodeId creator) {
   if (num_pages == 0) throw UsageError("GdoService: object with zero pages");
-  const NodeId home = placement_of(id);
-  // Ring mode: the new entry starts resident at its placement owner (under
-  // failover registration the residency still names the down owner — the
-  // mirror chain serves until it returns, exactly like the static home).
-  const auto note_resident = [&] {
-    if (ring_ == nullptr) return;
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    ring_->resident[id] = home.value();
-  };
+  const NodeId home = placement_->owner_of(id);
   FaultAtomicSection atomic(transport_.fault_hooks());
-  if (!transport_.reachable(home) && config_.replicate &&
-      transport_.fault_hooks() != nullptr) {
-    // Home down at creation time: register at the failover serving node —
-    // its mirror map is the authoritative copy until the home restarts and
-    // rebuilds from it.  Inserting into the home's map instead would hand
-    // the only record to the pending wipe.
-    const Route r = route(id);
-    const NodeId serving(static_cast<std::uint32_t>(r.partition));
-    Partition& part = partitions_[r.partition];
-    std::lock_guard<std::mutex> lock(part.mirror_mu);
-    auto [it, inserted] = part.mirrors.try_emplace(id);
-    if (!inserted)
-      throw UsageError("GdoService: object " + std::to_string(id.value()) +
-                       " already registered");
-    GdoEntry& e = it->second;
-    e.num_pages = num_pages;
-    e.page_map = PageMap(num_pages, creator);
-    e.caching_sites.insert(creator);
-    note_resident();
-    replicate_failover(id, e, serving);
-    return;
-  }
-  Partition& part = partitions_[home.value()];
-  {
-    std::lock_guard<std::mutex> lock(part.mu);
-    auto [it, inserted] = part.entries.try_emplace(id);
-    if (!inserted)
-      throw UsageError("GdoService: object " + std::to_string(id.value()) +
-                       " already registered");
-    GdoEntry& e = it->second;
-    e.num_pages = num_pages;
-    e.page_map = PageMap(num_pages, creator);
-    e.caching_sites.insert(creator);
-    note_resident();
-    replicate(id, e);
-  }
+  // Home down at creation time (fault engine): register at the failover
+  // serving node — its mirror map is the authoritative copy until the home
+  // restarts and rebuilds from it.  Inserting into the home's map instead
+  // would hand the only record to the pending wipe.  The residency still
+  // names the down home, exactly like any failover.
+  const Route r = !transport_.reachable(home) && config_.replicate &&
+                          transport_.fault_hooks() != nullptr
+                      ? route(id)
+                      : Route{home, false};
+  Partition& part = partitions_[r.node.value()];
+  std::lock_guard<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
+  auto& map = r.failover ? part.mirrors : part.entries;
+  auto [it, inserted] = map.try_emplace(id);
+  if (!inserted)
+    throw UsageError("GdoService: object " + std::to_string(id.value()) +
+                     " already registered");
+  GdoEntry& e = it->second;
+  e.num_pages = num_pages;
+  e.page_map = PageMap(num_pages, creator);
+  e.caching_sites.insert(creator);
+  placement_->set_resident(id, home);
+  mirror_sync(id, e, r);
 }
 
 AcquireResult GdoService::acquire(ObjectId id, const TxnId& txn,
                                   NodeId requester, LockMode mode) {
-  ring_prep_request(id, requester, MessageKind::kLockAcquireRequest);
-  const Route r = route(id);
-  const NodeId serving(static_cast<std::uint32_t>(r.partition));
-  Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
-  auto& map = r.failover ? part.mirrors : part.entries;
-  GdoEntry& e = find_serving(map, id, r, "acquire");
-  note_serve(id, r);
+  prep_request(id, requester, MessageKind::kLockAcquireRequest);
+  auto [r, lock, e] = begin_serve(id, "acquire");
+  const NodeId serving = r.node;
   const FamilyId fam = txn.family;
 
   transport_.send({MessageKind::kLockAcquireRequest, requester, serving, id,
@@ -715,8 +565,7 @@ AcquireResult GdoService::acquire(ObjectId id, const TxnId& txn,
       h.node = requester;
       if (const FaultHooks* hooks = transport_.fault_hooks())
         h.lease_expiry = hooks->now() + hooks->lease_term();
-      if (!r.failover) replicate(id, e);
-      else replicate_failover(id, e, serving);
+      mirror_sync(id, e, r);
       AcquireResult res;
       res.status = AcquireStatus::kGranted;
       res.page_map = e.page_map;
@@ -739,8 +588,7 @@ AcquireResult GdoService::acquire(ObjectId id, const TxnId& txn,
         h.lease_expiry = hooks->now() + hooks->lease_term();  // renewal
       e.state = GdoLockState::kWrite;
       e.read_count = 0;
-      if (!r.failover) replicate(id, e);
-      else replicate_failover(id, e, serving);
+      mirror_sync(id, e, r);
       AcquireResult res;
       res.status = AcquireStatus::kGranted;
       res.upgrade = true;
@@ -756,8 +604,7 @@ AcquireResult GdoService::acquire(ObjectId id, const TxnId& txn,
     while (pos < e.waiters.size() && e.waiters[pos].upgrade) ++pos;
     e.waiters.insert(e.waiters.begin() + static_cast<std::ptrdiff_t>(pos),
                      std::move(w));
-    if (!r.failover) replicate(id, e);
-    else replicate_failover(id, e, serving);
+    mirror_sync(id, e, r);
     return AcquireResult{};  // queued
   }
 
@@ -787,8 +634,7 @@ AcquireResult GdoService::acquire(ObjectId id, const TxnId& txn,
     stamp_epoch(w);
     install_holder(e, w);
     e.caching_sites.insert(requester);
-    if (!r.failover) replicate(id, e);
-    else replicate_failover(id, e, serving);
+    mirror_sync(id, e, r);
     AcquireResult res;
     res.status = AcquireStatus::kGranted;
     res.page_map = e.page_map;
@@ -808,8 +654,7 @@ AcquireResult GdoService::acquire(ObjectId id, const TxnId& txn,
     stamp_epoch(w);
     e.waiters.push_back(std::move(w));
   }
-  if (!r.failover) replicate(id, e);
-  else replicate_failover(id, e, serving);
+  mirror_sync(id, e, r);
   return AcquireResult{};  // queued
 }
 
@@ -875,14 +720,9 @@ Lsn GdoService::apply_release(ObjectId id, GdoEntry& e, FamilyId family,
 ReleaseResult GdoService::release_family(ObjectId id, FamilyId family,
                                          NodeId node,
                                          const ReleaseInfo* info) {
-  ring_prep_request(id, node, MessageKind::kLockReleaseRequest);
-  const Route r = route(id);
-  const NodeId serving(static_cast<std::uint32_t>(r.partition));
-  Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
-  auto& map = r.failover ? part.mirrors : part.entries;
-  GdoEntry& e = find_serving(map, id, r, "release_family");
-  note_serve(id, r);
+  prep_request(id, node, MessageKind::kLockReleaseRequest);
+  auto [r, lock, e] = begin_serve(id, "release_family");
+  const NodeId serving = r.node;
 
   const std::uint64_t records = info ? info->record_count() : 0;
   transport_.send({MessageKind::kLockReleaseRequest, node, serving, id,
@@ -900,8 +740,7 @@ ReleaseResult GdoService::release_family(ObjectId id, FamilyId family,
   ReleaseResult res;
   res.stamped_version = apply_release(id, e, family, serving, info,
                                       res.wakeups);
-  if (!r.failover) replicate(id, e);
-  else replicate_failover(id, e, serving);
+  mirror_sync(id, e, r);
   return res;
 }
 
@@ -1021,33 +860,20 @@ void GdoService::grant_waiters(ObjectId id, GdoEntry& e, NodeId serving,
 }
 
 std::vector<Grant> GdoService::cancel_waiter(ObjectId id, FamilyId family) {
-  ring_catch_up(id);
-  const Route r = route(id);
-  const NodeId serving(static_cast<std::uint32_t>(r.partition));
-  Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
-  auto& map = r.failover ? part.mirrors : part.entries;
+  catch_up(id);
+  auto [r, lock, e] = begin_serve(id, "cancel_waiter");
   FaultAtomicSection atomic(transport_.fault_hooks());
-  GdoEntry& e = find_serving(map, id, r, "cancel_waiter");
-  note_serve(id, r);
   std::erase_if(e.waiters,
                 [&](const WaiterFamily& w) { return w.family == family; });
   std::vector<Grant> wakeups;
-  grant_waiters(id, e, serving, wakeups);
-  if (!r.failover) replicate(id, e);
-  else replicate_failover(id, e, serving);
+  grant_waiters(id, e, r.node, wakeups);
+  mirror_sync(id, e, r);
   return wakeups;
 }
 
 bool GdoService::retain_release(ObjectId id, FamilyId family, NodeId node) {
-  ring_catch_up(id);
-  const Route r = route(id);
-  const NodeId serving(static_cast<std::uint32_t>(r.partition));
-  Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
-  auto& map = r.failover ? part.mirrors : part.entries;
-  GdoEntry& e = find_serving(map, id, r, "retain_release");
-  note_serve(id, r);
+  catch_up(id);
+  auto [r, lock, e] = begin_serve(id, "retain_release");
   const auto hit = e.holders.find(family);
   if (hit == e.holders.end()) return false;
   // Retention must never starve a queued family: with anyone waiting the
@@ -1077,8 +903,7 @@ bool GdoService::retain_release(ObjectId id, FamilyId family, NodeId node) {
     old.epoch = c.epoch;
     old.lease_expiry = c.lease_expiry;
   }
-  if (!r.failover) replicate(id, e);
-  else replicate_failover(id, e, serving);
+  mirror_sync(id, e, r);
   return true;
 }
 
@@ -1086,14 +911,8 @@ std::optional<LockMode> GdoService::local_regrant(ObjectId id,
                                                   const TxnId& txn,
                                                   NodeId node,
                                                   LockMode wanted) {
-  ring_catch_up(id);
-  const Route r = route(id);
-  const NodeId serving(static_cast<std::uint32_t>(r.partition));
-  Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
-  auto& map = r.failover ? part.mirrors : part.entries;
-  GdoEntry& e = find_serving(map, id, r, "local_regrant");
-  note_serve(id, r);
+  catch_up(id);
+  auto [r, lock, e] = begin_serve(id, "local_regrant");
   const std::size_t i = e.cached_index(node);
   if (i == static_cast<std::size_t>(-1)) return std::nullopt;
   const CachedHolder c = e.cached[i];
@@ -1115,39 +934,26 @@ std::optional<LockMode> GdoService::local_regrant(ObjectId id,
   install_holder(e, w);
   e.caching_sites.insert(node);
   stats_.cache_regrants->add();
-  if (!r.failover) replicate(id, e);
-  else replicate_failover(id, e, serving);
+  mirror_sync(id, e, r);
   return c.mode;
 }
 
 void GdoService::forget_cached(ObjectId id, NodeId node) {
-  ring_catch_up(id);
-  const Route r = route(id);
-  const NodeId serving(static_cast<std::uint32_t>(r.partition));
-  Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
-  auto& map = r.failover ? part.mirrors : part.entries;
-  GdoEntry& e = find_serving(map, id, r, "forget_cached");
-  note_serve(id, r);
+  catch_up(id);
+  auto [r, lock, e] = begin_serve(id, "forget_cached");
   const std::size_t i = e.cached_index(node);
   if (i == static_cast<std::size_t>(-1)) return;
   FaultAtomicSection atomic(transport_.fault_hooks());
   e.cached.erase(e.cached.begin() + static_cast<std::ptrdiff_t>(i));
-  if (!r.failover) replicate(id, e);
-  else replicate_failover(id, e, serving);
+  mirror_sync(id, e, r);
 }
 
 void GdoService::flush_cached(
     ObjectId id, NodeId node,
     const std::vector<std::pair<PageIndex, Lsn>>& records, Lsn advance_to) {
-  ring_prep_request(id, node, MessageKind::kLockReleaseRequest);
-  const Route r = route(id);
-  const NodeId serving(static_cast<std::uint32_t>(r.partition));
-  Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
-  auto& map = r.failover ? part.mirrors : part.entries;
-  GdoEntry& e = find_serving(map, id, r, "flush_cached");
-  note_serve(id, r);
+  prep_request(id, node, MessageKind::kLockReleaseRequest);
+  auto [r, lock, e] = begin_serve(id, "flush_cached");
+  const NodeId serving = r.node;
   // The deferred release finally goes on the wire, at the same cost it
   // would have had at root-commit time.
   transport_.send(
@@ -1164,19 +970,13 @@ void GdoService::flush_cached(
   if (i != static_cast<std::size_t>(-1))
     e.cached.erase(e.cached.begin() + static_cast<std::ptrdiff_t>(i));
   stats_.cache_flushes->add();
-  if (!r.failover) replicate(id, e);
-  else replicate_failover(id, e, serving);
+  mirror_sync(id, e, r);
 }
 
 PageMap GdoService::lookup_page_map(ObjectId id, NodeId requester) {
-  ring_prep_request(id, requester, MessageKind::kGdoLookupRequest);
-  const Route r = route(id);
-  const NodeId serving(static_cast<std::uint32_t>(r.partition));
-  Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
-  auto& map = r.failover ? part.mirrors : part.entries;
-  const GdoEntry& e = find_serving(map, id, r, "lookup_page_map");
-  note_serve(id, r);
+  prep_request(id, requester, MessageKind::kGdoLookupRequest);
+  auto [r, lock, e] = begin_serve(id, "lookup_page_map");
+  const NodeId serving = r.node;
   transport_.send({MessageKind::kGdoLookupRequest, requester, serving, id,
                    wire::kLockRecordBytes});
   ScopedServeSpan serve(tracer_, SpanPhase::kGdoServe, serving.value(),
@@ -1188,12 +988,8 @@ PageMap GdoService::lookup_page_map(ObjectId id, NodeId requester) {
 
 GdoService::SnapshotMap GdoService::snapshot_lookup(ObjectId id,
                                                     NodeId requester) {
-  const Route r = route(id);
-  const NodeId serving(static_cast<std::uint32_t>(r.partition));
-  Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
-  auto& map = r.failover ? part.mirrors : part.entries;
-  const GdoEntry& e = find_serving(map, id, r, "snapshot_lookup");
+  auto [r, lock, e] = begin_serve(id, "snapshot_lookup");
+  const NodeId serving = r.node;
   // Pure directory read: no lock state consulted or mutated, no queueing
   // behind writers — the whole point of the snapshot path.  The reply
   // carries the map (same entry format as a grant payload) plus the commit
@@ -1208,22 +1004,14 @@ GdoService::SnapshotMap GdoService::snapshot_lookup(ObjectId id,
 }
 
 std::vector<NodeId> GdoService::caching_sites(ObjectId id) const {
-  const Route r = route(id);
-  const Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
-  const auto& map = r.failover ? part.mirrors : part.entries;
-  const GdoEntry& e = const_cast<GdoService*>(this)->find_serving(
-      const_cast<FlatMap<ObjectId, GdoEntry>&>(map), id, r, "caching_sites");
+  const auto [r, lock, e] =
+      const_cast<GdoService*>(this)->locate(id, "caching_sites");
   return {e.caching_sites.begin(), e.caching_sites.end()};
 }
 
 void GdoService::note_caching_site(ObjectId id, NodeId node) {
-  ring_catch_up(id);
-  const Route r = route(id);
-  Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
-  auto& map = r.failover ? part.mirrors : part.entries;
-  find_serving(map, id, r, "note_caching_site").caching_sites.insert(node);
+  catch_up(id);
+  locate(id, "note_caching_site").entry.caching_sites.insert(node);
 }
 
 std::vector<GdoService::WaitEdge> GdoService::wait_edges() const {
@@ -1254,12 +1042,7 @@ std::vector<GdoService::WaitEdge> GdoService::wait_edges() const {
 }
 
 GdoEntry GdoService::snapshot(ObjectId id) const {
-  const Route r = route(id);
-  const Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
-  const auto& map = r.failover ? part.mirrors : part.entries;
-  return const_cast<GdoService*>(this)->find_serving(
-      const_cast<FlatMap<ObjectId, GdoEntry>&>(map), id, r, "snapshot");
+  return const_cast<GdoService*>(this)->locate(id, "snapshot").entry;
 }
 
 std::size_t GdoService::num_objects() const {
@@ -1282,83 +1065,47 @@ std::vector<ObjectId> GdoService::objects_homed_at(NodeId node) const {
   return out;
 }
 
-void GdoService::replicate(ObjectId id, const GdoEntry& entry) {
+void GdoService::replicate(ObjectId id, const GdoEntry& entry,
+                           NodeId serving) {
   if (!config_.replicate) return;
-  if (ring_ != nullptr) {
-    // Quorum mirror group: sync the mutation to the k ring successors and
-    // count acks.  k+1 copies exist (owner + group); the mutation is
-    // quorum-committed on ceil((k+1)/2) acks — the owner's own copy always
-    // counts, so k=1 reproduces the classic best-effort single mirror.
-    const NodeId serving = resident_of(id);
-    const std::size_t required = (config_.ring.mirror_group + 2) / 2;
-    std::size_t acks = 1;  // the serving owner's copy
-    for (const NodeId t : mirror_targets(id, serving)) {
-      if (!transport_.reachable(t)) continue;
-      try {
-        transport_.send({MessageKind::kGdoReplicaSync, serving, t, id,
-                         wire::kLockRecordBytes + entry.page_map.wire_bytes()});
-        transport_.send({MessageKind::kGdoReplicaAck, t, serving, id, 0});
-      } catch (const Error&) {
-        continue;  // endpoint crashed mid-sync: one ack short
-      }
-      Partition& tp = partitions_[t.value()];
-      std::lock_guard<std::mutex> lock(tp.mirror_mu);
-      tp.mirrors[id] = entry;
-      ++acks;
+  // Sync the mutation to the mirror group and count acks.  k+1 copies
+  // exist (serving node + group); the mutation is quorum-committed on
+  // ceil((k+1)/2) acks — the serving copy always counts, so k=1 is the
+  // classic best-effort single mirror.  An unreachable member, or one that
+  // crashes mid-sync, is skipped: replication runs after the mutation, so a
+  // failure must not unwind an already-applied release/grant.
+  std::size_t acks = 1;
+  for_each_mirror(id, serving, [&](NodeId t) {
+    if (!transport_.reachable(t)) return;
+    try {
+      transport_.send({MessageKind::kGdoReplicaSync, serving, t, id,
+                       wire::kLockRecordBytes + entry.page_map.wire_bytes()});
+      transport_.send({MessageKind::kGdoReplicaAck, t, serving, id, 0});
+    } catch (const Error&) {
+      return;
     }
-    if (acks >= required) ring_stats_.quorum_commits->add();
-    else ring_stats_.quorum_degrades->add();
-    return;
+    Partition& tp = partitions_[t.value()];
+    std::lock_guard<std::mutex> lock(tp.mirror_mu);
+    tp.mirrors[id] = entry;
+    ++acks;
+  });
+  if (config_.ring.enabled) {  // quorum tallies are the elastic directory's
+    const bool quorum = acks >= (placement_->mirror_group() + 2) / 2;
+    (quorum ? ring_stats_.quorum_commits : ring_stats_.quorum_degrades)->add();
   }
-  const NodeId home = home_of(id);
-  const NodeId mirror = mirror_of(id);
-  if (mirror == home) return;
-  if (!transport_.reachable(mirror)) return;  // mirror down: degrade
-  try {
-    transport_.send({MessageKind::kGdoReplicaSync, home, mirror, id,
-                     wire::kLockRecordBytes + entry.page_map.wire_bytes()});
-    transport_.send({MessageKind::kGdoReplicaAck, mirror, home, id, 0});
-  } catch (const Error&) {
-    // A fault event crashed an endpoint at this very tick: degrade exactly
-    // as if the mirror had been down before the sync (best-effort copy).
-    // Replication runs after the mutation, so the exception must not
-    // propagate and unwind an already-applied release/grant.
-    return;
-  }
-  Partition& mpart = partitions_[mirror.value()];
-  std::lock_guard<std::mutex> lock(mpart.mirror_mu);
-  mpart.mirrors[id] = entry;
 }
 
 void GdoService::replicate_failover(ObjectId id, const GdoEntry& entry,
                                     NodeId serving) {
   if (!config_.replicate || transport_.fault_hooks() == nullptr) return;
-  if (ring_ != nullptr) {
-    // Copy the mutation one hop further down the object's ring chain (the
-    // chain already excludes the dead resident), so a second failure still
-    // finds a complete entry.
-    for (const NodeId cand : failover_chain(id)) {
-      if (cand == serving || !transport_.reachable(cand)) continue;
-      try {
-        transport_.send({MessageKind::kGdoReplicaSync, serving, cand, id,
-                         wire::kLockRecordBytes + entry.page_map.wire_bytes()});
-        transport_.send({MessageKind::kGdoReplicaAck, cand, serving, id, 0});
-      } catch (const Error&) {
-        continue;  // candidate crashed mid-sync: try the next survivor
-      }
-      Partition& cpart = partitions_[cand.value()];
-      std::lock_guard<std::mutex> lock(cpart.mirror_mu);
-      cpart.mirrors[id] = entry;
-      return;
-    }
-    return;
-  }
-  const std::size_t n = partitions_.size();
-  for (std::size_t k = 1; k < n; ++k) {
-    const NodeId cand(
-        static_cast<std::uint32_t>((serving.value() + k) % n));
-    if (cand == home_of(id)) continue;  // the dead home is no backup
-    if (!transport_.reachable(cand)) continue;
+  // Copy the mutation one hop further down the failover chain: the first
+  // reachable node after `serving`, wrapping past the chain's end, so a
+  // second failure still finds a complete entry.
+  std::vector<NodeId> chain = failover_chain(id);
+  const auto at = std::find(chain.begin(), chain.end(), serving);
+  if (at != chain.end()) std::rotate(chain.begin(), at + 1, chain.end());
+  for (const NodeId cand : chain) {
+    if (cand == serving || !transport_.reachable(cand)) continue;
     try {
       transport_.send({MessageKind::kGdoReplicaSync, serving, cand, id,
                        wire::kLockRecordBytes + entry.page_map.wire_bytes()});
@@ -1366,8 +1113,8 @@ void GdoService::replicate_failover(ObjectId id, const GdoEntry& entry,
     } catch (const Error&) {
       continue;  // candidate crashed mid-sync: try the next survivor
     }
-    // Both mirror maps may be touched only under their own mirror_mu; under
-    // the token scheduler (required with fault hooks) this nesting is safe.
+    // Both mirror maps may be touched only under their own mirror_mu; the
+    // token scheduler runs one family at a time, so this nesting is safe.
     Partition& cpart = partitions_[cand.value()];
     std::lock_guard<std::mutex> lock(cpart.mirror_mu);
     cpart.mirrors[id] = entry;
@@ -1400,170 +1147,42 @@ void GdoService::on_node_crash(NodeId node) {
   }
 }
 
-std::size_t GdoService::rebuild_node(NodeId node) {
-  if (!node.valid() || node.value() >= partitions_.size())
-    throw UsageError("GdoService: node id out of range");
-  if (!config_.replicate) return 0;
-  Partition& mine = partitions_[node.value()];
-  if (ring_ != nullptr) return rebuild_node_ring(node);
-
-  // 1. Recover the entries homed here from surviving mirror copies anywhere
-  //    in the chain (re-mirroring may have moved them past home+1).  Newest
-  //    copy wins, measured by the entry's commit version counter; the scan
-  //    walks the chain outward from the home so that on a version tie the
-  //    copy nearest the home — the canonical mirror, which every normal
-  //    mutation refreshes — beats a stale failover copy further out (lock
-  //    state changes do not bump the version counter, so ties are common).
-  std::map<ObjectId, std::pair<GdoEntry, NodeId>> best;
-  for (std::size_t k = 1; k < partitions_.size(); ++k) {
-    const NodeId holder(static_cast<std::uint32_t>(
-        (node.value() + k) % partitions_.size()));
-    if (!transport_.reachable(holder)) continue;
-    const Partition& part = partitions_[holder.value()];
-    std::lock_guard<std::mutex> lock(part.mirror_mu);
-    for (const auto& [id, e] : part.mirrors) {
-      if (home_of(id) != node) continue;
-      const auto it = best.find(id);
-      if (it == best.end() ||
-          e.version_counter > it->second.first.version_counter)
-        best[id] = {e, holder};
-    }
+bool GdoService::pull_copy(NodeId node, NodeId holder, ObjectId id,
+                           const GdoEntry& copy) {
+  try {
+    transport_.send({MessageKind::kGdoRebuildRequest, node, holder, id,
+                     wire::kLockRecordBytes});
+    transport_.send({MessageKind::kGdoRebuildReply, holder, node, id,
+                     wire::kLockRecordBytes + copy.page_map.wire_bytes()});
+  } catch (const Error&) {
+    return false;  // an endpoint died mid-rebuild: the copy stays missing
   }
-  std::size_t rebuilt = 0;
-  for (auto& [id, copy] : best) {
-    try {
-      transport_.send({MessageKind::kGdoRebuildRequest, node, copy.second, id,
-                       wire::kLockRecordBytes});
-      transport_.send(
-          {MessageKind::kGdoRebuildReply, copy.second, node, id,
-           wire::kLockRecordBytes + copy.first.page_map.wire_bytes()});
-    } catch (const Error&) {
-      continue;  // source died mid-rebuild; the entry stays missing for now
-    }
-    {
-      std::lock_guard<std::mutex> lock(mine.mu);
-      mine.entries[id] = copy.first;
-    }
-    // Freshen the canonical mirror from the adopted copy and drop every
-    // other chain copy: they freeze the moment the home serves again, and
-    // a later rebuild must not be able to resurrect one.
-    replicate(id, copy.first);
-    const NodeId canon = mirror_of(id);
-    for (std::size_t p = 0; p < partitions_.size(); ++p) {
-      if (p == node.value() || p == canon.value()) continue;
-      Partition& part = partitions_[p];
-      std::lock_guard<std::mutex> lock(part.mirror_mu);
-      part.mirrors.erase(id);
-    }
-    ++rebuilt;
-  }
-
-  // 2. Refresh this node's own mirror copies from the live homes, so it can
-  //    serve as a failover target again.
-  for (std::size_t p = 0; p < partitions_.size(); ++p) {
-    const NodeId home(static_cast<std::uint32_t>(p));
-    if (home == node || !transport_.reachable(home)) continue;
-    std::map<ObjectId, GdoEntry> to_mirror;
-    {
-      const Partition& part = partitions_[p];
-      std::lock_guard<std::mutex> lock(part.mu);
-      for (const auto& [id, e] : part.entries)
-        if (mirror_of(id) == node) to_mirror.emplace(id, e);
-    }
-    for (auto& [id, e] : to_mirror) {
-      try {
-        transport_.send({MessageKind::kGdoRebuildRequest, node, home, id,
-                         wire::kLockRecordBytes});
-        transport_.send({MessageKind::kGdoRebuildReply, home, node, id,
-                         wire::kLockRecordBytes + e.page_map.wire_bytes()});
-      } catch (const Error&) {
-        continue;
-      }
-      std::lock_guard<std::mutex> lock(mine.mirror_mu);
-      mine.mirrors[id] = std::move(e);
-    }
-  }
-
-  // 3. Step 2 could not consult homes that are currently down — yet this
-  //    node mirrors some of their objects, and the next failover (or the
-  //    next double failover after another crash) will route requests here.
-  //    Without a copy it would serve them blind: find_serving turns every
-  //    request into a transient NodeUnreachable until the home returns.
-  //    Adopt the newest surviving chain copy for each such object (same
-  //    version/tie discipline as step 1: chain-outward from the home).
-  if (transport_.fault_hooks() != nullptr) {
-    struct Candidate {
-      GdoEntry entry;
-      NodeId holder;
-      std::size_t chain_pos = 0;  ///< holder's distance from the home
-    };
-    std::map<ObjectId, Candidate> orphaned;
-    const std::size_t n = partitions_.size();
-    for (std::size_t k = 1; k < n; ++k) {
-      const NodeId holder(
-          static_cast<std::uint32_t>((node.value() + k) % n));
-      if (!transport_.reachable(holder)) continue;
-      const Partition& part = partitions_[holder.value()];
-      std::lock_guard<std::mutex> lock(part.mirror_mu);
-      for (const auto& [id, e] : part.mirrors) {
-        if (mirror_of(id) != node) continue;
-        const NodeId home = home_of(id);
-        if (transport_.reachable(home)) continue;  // step 2 covered it
-        const std::size_t pos = (holder.value() + n - home.value()) % n;
-        const auto it = orphaned.find(id);
-        if (it == orphaned.end() ||
-            e.version_counter > it->second.entry.version_counter ||
-            (e.version_counter == it->second.entry.version_counter &&
-             pos < it->second.chain_pos))
-          orphaned[id] = {e, holder, pos};
-      }
-    }
-    for (auto& [id, c] : orphaned) {
-      try {
-        transport_.send({MessageKind::kGdoRebuildRequest, node, c.holder, id,
-                         wire::kLockRecordBytes});
-        transport_.send(
-            {MessageKind::kGdoRebuildReply, c.holder, node, id,
-             wire::kLockRecordBytes + c.entry.page_map.wire_bytes()});
-      } catch (const Error&) {
-        continue;
-      }
-      std::lock_guard<std::mutex> lock(mine.mirror_mu);
-      mine.mirrors[id] = std::move(c.entry);
-    }
-  }
-  return rebuilt;
+  return true;
 }
 
-std::size_t GdoService::rebuild_node_ring(NodeId node) {
-  Partition& mine = partitions_[node.value()];
-
-  // 1. Re-adopt the entries resident here from the surviving mirror copies.
-  //    Newest version wins; on a tie the copy earliest in the object's ring
-  //    chain (the canonical first mirror) beats a failover copy further out.
-  struct Candidate {
-    GdoEntry entry;
-    NodeId holder;
-    std::size_t chain_pos = 0;
-  };
-  std::map<ObjectId, Candidate> best;
+template <class Pred>
+std::map<ObjectId, GdoService::ChainCopy> GdoService::newest_copies(
+    NodeId node, Pred&& wanted) const {
+  // Newest copy wins, by the entry's commit version counter; on a tie the
+  // copy earliest in the entry's failover chain — the canonical mirror,
+  // which every normal mutation refreshes — beats a stale failover copy
+  // further out (lock-state changes do not bump the version counter, so
+  // ties are common).
+  std::map<ObjectId, ChainCopy> best;
   for (std::size_t p = 0; p < partitions_.size(); ++p) {
     const NodeId holder(static_cast<std::uint32_t>(p));
     if (holder == node || !transport_.reachable(holder)) continue;
-    // Collect ids first: chain-position lookup takes the ring lock, which
-    // must nest inside the partition locks, not interleave with them.
     std::vector<std::pair<ObjectId, GdoEntry>> copies;
     {
       const Partition& part = partitions_[p];
       std::lock_guard<std::mutex> lock(part.mirror_mu);
       for (const auto& [id, e] : part.mirrors)
-        if (resident_of(id) == node) copies.emplace_back(id, e);
+        if (wanted(id)) copies.emplace_back(id, e);
     }
     for (auto& [id, e] : copies) {
       const std::vector<NodeId> chain = failover_chain(id);
-      const auto at = std::find(chain.begin(), chain.end(), holder);
       const std::size_t pos = static_cast<std::size_t>(
-          at == chain.end() ? chain.size() : at - chain.begin());
+          std::find(chain.begin(), chain.end(), holder) - chain.begin());
       const auto it = best.find(id);
       if (it == best.end() ||
           e.version_counter > it->second.entry.version_counter ||
@@ -1572,60 +1191,68 @@ std::size_t GdoService::rebuild_node_ring(NodeId node) {
         best[id] = {std::move(e), holder, pos};
     }
   }
+  return best;
+}
+
+std::size_t GdoService::rebuild_node(NodeId node) {
+  if (!node.valid() || node.value() >= partitions_.size())
+    throw UsageError("GdoService: node id out of range");
+  if (!config_.replicate) return 0;
+  Partition& mine = partitions_[node.value()];
+
+  // 1. Re-adopt the entries resident here from the surviving mirror copies
+  //    anywhere in their chains (re-mirroring may have moved them past the
+  //    first successor), re-mirror each, and retire every other chain copy:
+  //    they freeze the moment this node serves again, and a later rebuild
+  //    must not be able to resurrect one.
   std::size_t rebuilt = 0;
-  for (auto& [id, c] : best) {
-    try {
-      transport_.send({MessageKind::kGdoRebuildRequest, node, c.holder, id,
-                       wire::kLockRecordBytes});
-      transport_.send({MessageKind::kGdoRebuildReply, c.holder, node, id,
-                       wire::kLockRecordBytes + c.entry.page_map.wire_bytes()});
-    } catch (const Error&) {
-      continue;  // source died mid-rebuild; the entry stays missing for now
-    }
+  for (auto& [id, c] : newest_copies(node, [&](ObjectId id) {
+         return placement_->resident_of(id) == node;
+       })) {
+    if (!pull_copy(node, c.holder, id, c.entry)) continue;
     {
       std::lock_guard<std::mutex> lock(mine.mu);
       mine.entries[id] = c.entry;
     }
-    // Refresh the quorum group from the adopted copy and retire every other
-    // chain copy so a later rebuild cannot resurrect one.
-    replicate(id, c.entry);
-    const std::vector<NodeId> keep = mirror_targets(id, node);
-    for (std::size_t p = 0; p < partitions_.size(); ++p) {
-      const NodeId cand(static_cast<std::uint32_t>(p));
-      if (cand == node) continue;
-      if (std::find(keep.begin(), keep.end(), cand) != keep.end()) continue;
-      Partition& part = partitions_[p];
-      std::lock_guard<std::mutex> lock(part.mirror_mu);
-      part.mirrors.erase(id);
-    }
+    replicate(id, c.entry, node);
+    retire_stale_copies(id, node);
     ++rebuilt;
   }
 
-  // 2. Refresh the mirror copies this node hosts inside other residents'
-  //    quorum groups, so it counts toward their quorums again.
+  // 2. Refresh the copies this node hosts in live residents' mirror groups
+  //    (ascending id per resident), so it serves as a failover target and
+  //    counts toward their quorums again.
   for (std::size_t p = 0; p < partitions_.size(); ++p) {
     const NodeId res(static_cast<std::uint32_t>(p));
     if (res == node || !transport_.reachable(res)) continue;
-    std::vector<std::pair<ObjectId, GdoEntry>> copies;
+    std::map<ObjectId, GdoEntry> to_mirror;
     {
       const Partition& part = partitions_[p];
       std::lock_guard<std::mutex> lock(part.mu);
-      for (const auto& [id, e] : part.entries) copies.emplace_back(id, e);
+      for (const auto& [id, e] : part.entries)
+        if (in_mirror_group(id, res, node)) to_mirror.emplace(id, e);
     }
-    for (auto& [id, e] : copies) {
-      const std::vector<NodeId> group = mirror_targets(id, res);
-      if (std::find(group.begin(), group.end(), node) == group.end())
-        continue;
-      try {
-        transport_.send({MessageKind::kGdoRebuildRequest, node, res, id,
-                         wire::kLockRecordBytes});
-        transport_.send({MessageKind::kGdoRebuildReply, res, node, id,
-                         wire::kLockRecordBytes + e.page_map.wire_bytes()});
-      } catch (const Error&) {
-        continue;
-      }
+    for (auto& [id, e] : to_mirror) {
+      if (!pull_copy(node, res, id, e)) continue;
       std::lock_guard<std::mutex> lock(mine.mirror_mu);
       mine.mirrors[id] = std::move(e);
+    }
+  }
+
+  // 3. Step 2 could not consult residents that are down — yet this node
+  //    belongs to some of their mirror groups, and the next failover (or
+  //    the next double failover after another crash) routes requests here.
+  //    Without a copy it would serve them blind: every request would bounce
+  //    as a transient NodeUnreachable until the resident returns.  Adopt
+  //    the newest surviving group copy for each (same tie-break as step 1).
+  if (transport_.fault_hooks() != nullptr) {
+    for (auto& [id, c] : newest_copies(node, [&](ObjectId id) {
+           const NodeId res = placement_->resident_of(id);
+           return !transport_.reachable(res) && in_mirror_group(id, res, node);
+         })) {
+      if (!pull_copy(node, c.holder, id, c.entry)) continue;
+      std::lock_guard<std::mutex> lock(mine.mirror_mu);
+      mine.mirrors[id] = std::move(c.entry);
     }
   }
   return rebuilt;
@@ -1657,7 +1284,7 @@ void GdoService::reclaim_crashed(bool ignore_leases) {
       // sync it like any other mutation (a crash right after the reap must
       // not resurrect the reclaimed holder from the stale mirror).
       if (stats_.reclaimed->value() + stats_.purged->value() != before)
-        replicate(id, it->second);
+        replicate(id, it->second, placement_->resident_of(id));
     }
   }
 }

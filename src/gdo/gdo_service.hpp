@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -30,7 +31,7 @@
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stats_macros.hpp"
-#include "ring/hash_ring.hpp"
+#include "ring/placement.hpp"
 
 namespace lotec {
 
@@ -41,7 +42,7 @@ class CheckSink;
 /// traffic stays bit-identical to a build without the subsystem.
 struct RingConfig {
   /// Place directory entries with a consistent-hash ring instead of the
-  /// static `mix(id) % nodes` map, and migrate shards online when the
+  /// static `mix64(id) % nodes` map, and migrate shards online when the
   /// membership changes.
   bool enabled = false;
   /// Virtual nodes (tokens) minted per member; more tokens = tighter
@@ -220,22 +221,28 @@ class GdoService {
     grant_delivery_ = std::move(hook);
   }
 
-  [[nodiscard]] NodeId home_of(ObjectId id) const noexcept;
-  [[nodiscard]] NodeId mirror_of(ObjectId id) const noexcept;
+  /// The placement owner of `id`'s entry: `mix64(id) % nodes` under the
+  /// static map, the ring owner under gdo.ring.
+  [[nodiscard]] NodeId home_of(ObjectId id) const;
+  /// The owner's first successor (the canonical mirror).
+  [[nodiscard]] NodeId mirror_of(ObjectId id) const;
 
   // --- elastic directory (consistent-hash ring; PROTOCOL.md §15) ----------
 
-  [[nodiscard]] bool ring_enabled() const noexcept { return ring_ != nullptr; }
+  [[nodiscard]] bool ring_enabled() const noexcept {
+    return config_.ring.enabled;
+  }
 
-  /// Where `id`'s entry is actually served right now: the migrating shard's
-  /// current residency under the ring, or the static home.  Requests route
-  /// here; migration moves residency toward the ring owner.
+  /// Where `id`'s entry is actually served right now: its owner, or the old
+  /// owner while its shard migration is queued.  Requests route here;
+  /// migration moves residency toward the ring owner.
   [[nodiscard]] NodeId resident_of(ObjectId id) const;
 
   /// Current placement epoch (0 until the first membership change).
   [[nodiscard]] std::uint64_t ring_epoch() const;
 
-  /// Current ring members (ascending node id).  Empty when the ring is off.
+  /// Current placement members (ascending node id); every node under the
+  /// static map.
   [[nodiscard]] std::vector<NodeId> ring_members() const;
 
   /// Entries whose residency still trails the ring owner (migration queue).
@@ -245,7 +252,8 @@ class GdoService {
   /// leaves (the node stays up; its shards migrate to the survivors).
   /// Bumps the placement epoch and enqueues the minimal set of entries the
   /// change re-owns.  Returns false (and changes nothing) when the change
-  /// is a no-op or would empty the ring.
+  /// is a no-op or would empty the ring.  Throws under the static map,
+  /// whose membership is fixed.
   bool ring_set_member(NodeId node, bool joined);
 
   /// Migrate up to `budget` queued entries to their ring owners (charged as
@@ -386,10 +394,12 @@ class GdoService {
   /// its families held are reclaimed lazily by lease timeout.
   void on_node_crash(NodeId node);
 
-  /// A crashed node rejoined: pull its partition's entries back from the
-  /// surviving mirror copies (charged as rebuild request/reply pairs) and
-  /// refresh its own mirror copies from live homes.  Returns the number of
-  /// home entries rebuilt.
+  /// A crashed node rejoined: (1) pull the entries resident here back from
+  /// the newest surviving mirror copies (charged as rebuild request/reply
+  /// pairs), (2) refresh the copies it hosts in live residents' mirror
+  /// groups, and (3) with fault hooks, adopt the newest surviving copy for
+  /// each group it belongs to whose resident is still down.  Returns the
+  /// number of resident entries rebuilt.
   std::size_t rebuild_node(NodeId node);
 
   /// Sweep the whole directory for locks and queued requests left behind by
@@ -424,9 +434,9 @@ class GdoService {
 
  private:
   struct Partition {
-    /// Protects `entries` (objects homed here).
+    /// Protects `entries` (objects resident here).
     mutable std::mutex mu;
-    /// Protects `mirrors` (replicas of entries homed elsewhere).  Lock
+    /// Protects `mirrors` (replicas of entries resident elsewhere).  Lock
     /// ordering: an entry `mu` may be held while taking a `mirror_mu`
     /// (replication), never the reverse.
     mutable std::mutex mirror_mu;
@@ -438,75 +448,60 @@ class GdoService {
     FlatMap<ObjectId, GdoEntry> mirrors;
   };
 
-  /// Elastic-directory state, allocated only when config_.ring.enabled —
-  /// the knob-off path never touches it (bit-identity contract).
-  struct RingState {
-    /// Guards everything below.  Ring mode requires the deterministic
-    /// scheduler, so contention is nil; the lock keeps the introspection
-    /// accessors safe from arbitrary threads.
-    mutable std::mutex mu;
-    /// Ring per placement epoch: history[e] is the membership a node whose
-    /// view is e believes in (redirect modeling); history.back() == ring.
-    std::vector<HashRing> history;
-    std::uint64_t epoch = 0;
-    /// Last placement epoch each node has observed; a request from a
-    /// stale-view node is charged a misroute + redirect before it reaches
-    /// the current owner.
-    std::vector<std::uint64_t> view;
-    /// Where each registered entry currently lives.
-    FlatMap<ObjectId, std::uint32_t> resident;
-    /// Entries whose residency trails the ring owner, ascending id (the
-    /// deterministic migration order).
-    std::vector<ObjectId> pending;
-  };
-
-  [[nodiscard]] const HashRing& current_ring() const {
-    return ring_->history.back();
-  }
-
-  /// The *target* owner under the current placement (ring owner, or static
-  /// home when the ring is off).  Registration inserts here.
-  [[nodiscard]] NodeId placement_of(ObjectId id) const;
-
-  /// Failover candidates for `id` in preference order (excluding the
-  /// serving owner): ring successors, or home+1.. for the static map.
+  /// Failover candidates for `id` in preference order: the owner's
+  /// successors, minus the resident (the serving node when it is up).
   [[nodiscard]] std::vector<NodeId> failover_chain(ObjectId id) const;
 
-  /// Mirror-group targets for a mutation served at `serving`.
-  [[nodiscard]] std::vector<NodeId> mirror_targets(ObjectId id,
-                                                   NodeId serving) const;
+  /// Call `f` for each member of `id`'s mirror group as served from
+  /// `serving`: the first mirror_group() successors other than `serving`.
+  template <class F>
+  void for_each_mirror(ObjectId id, NodeId serving, F&& f) const;
+  [[nodiscard]] bool in_mirror_group(ObjectId id, NodeId serving,
+                                     NodeId node) const;
+
+  /// Drop every mirror copy of `id` outside `serving`'s mirror group.
+  void retire_stale_copies(ObjectId id, NodeId serving);
 
   /// Catch-up hook run before an operation on `id` routes: migrates the
-  /// entry on demand when its shard is queued (priority pull).
-  void ring_catch_up(ObjectId id);
+  /// entry on demand when its shard is queued (priority pull).  Does
+  /// nothing while membership never changes.
+  void catch_up(ObjectId id);
 
-  /// ring_catch_up plus stale-view accounting: when `requester` last saw an
+  /// catch_up plus stale-view accounting: when `requester` last saw an
   /// older placement epoch and would have misrouted this request, charge
   /// the misrouted `kind` plus a kShardRedirect before the real serve.
-  void ring_prep_request(ObjectId id, NodeId requester, MessageKind kind);
+  void prep_request(ObjectId id, NodeId requester, MessageKind kind);
 
-  /// Move `id`'s entry to its ring owner now.  Returns false (leaving it
-  /// queued) when the target is unreachable or no copy of the entry is
-  /// currently recoverable.
+  /// Move `id`'s entry to its owner now.  Returns false (leaving it queued)
+  /// when the target is unreachable or no copy of the entry is currently
+  /// recoverable.
   bool migrate_entry(ObjectId id);
 
-  /// rebuild_node(), ring placement: residency replaces the static home and
-  /// per-object ring chains replace the home+k scan.
-  std::size_t rebuild_node_ring(NodeId node);
-
-  /// Which partition serves `id` right now (home, or mirror on failover) —
-  /// and whether we are in failover.
+  /// Which node serves `id` right now (the resident, or a chain node on
+  /// failover) — and whether we are in failover.
   struct Route {
-    std::size_t partition;
+    NodeId node;
     bool failover;
   };
   [[nodiscard]] Route route(ObjectId id) const;
 
-  /// Report an unfenced serve to the check sink (ring mode only).
-  void note_serve(ObjectId id, Route r);
-
-  GdoEntry& entry_at(Route r, ObjectId id);
-  [[nodiscard]] const GdoEntry& entry_at(Route r, ObjectId id) const;
+  /// The serve prologue's result: the route, the lock on the serving map
+  /// (the entries, or the mirror copies on failover) and the entry.
+  struct Served {
+    Route route;
+    std::unique_lock<std::mutex> lock;
+    GdoEntry& entry;
+  };
+  /// Route, lock and look up `id`.  During failover a missing copy is a
+  /// *transient* condition (the surviving chain has not seen this object's
+  /// entry yet) and surfaces as NodeUnreachable so callers retry; at the
+  /// resident it is a usage error.
+  [[nodiscard]] Served locate(ObjectId id, const char* op);
+  /// locate() plus the unfenced-serve report to the check sink.
+  [[nodiscard]] Served begin_serve(ObjectId id, const char* op);
+  /// The mirror sync that follows each mutation: replicate() at the
+  /// resident, replicate_failover() on failover.
+  void mirror_sync(ObjectId id, const GdoEntry& entry, Route r);
 
   /// Apply the lock/page-map effects of one object's release (no message
   /// accounting; callers charge the release message, batched or not).
@@ -554,23 +549,33 @@ class GdoService {
                           const std::vector<std::pair<PageIndex, Lsn>>& recs,
                           Lsn advance_to);
 
-  /// Serving-side entry lookup.  During failover a missing copy is a
-  /// *transient* condition (the surviving chain has not seen this object's
-  /// entry yet) and surfaces as NodeUnreachable so callers retry; at the
-  /// home it is a usage error.
-  [[nodiscard]] GdoEntry& find_serving(FlatMap<ObjectId, GdoEntry>& map,
-                                       ObjectId id, Route r, const char* op);
+  /// Synchronously copy the (mutated) entry to `serving`'s mirror group
+  /// and charge the replication traffic.  Caller holds the serving
+  /// partition lock only.  Degrades (skips) a member that is down or
+  /// crashes mid-sync.
+  void replicate(ObjectId id, const GdoEntry& entry, NodeId serving);
 
-  /// Synchronously copy the (mutated) entry to the mirror and charge the
-  /// replication traffic.  Caller holds the home partition lock only.
-  /// Degrades (skips) if the mirror is down or crashes mid-sync.
-  void replicate(ObjectId id, const GdoEntry& entry);
-
-  /// Failover counterpart of replicate(): while the home is down, the
-  /// serving mirror copies mutations one hop further down the replica
-  /// chain, so a second failure still finds a complete entry.  Fault-hooks
-  /// mode only (legacy failover keeps its exact message counts).
+  /// Failover counterpart of replicate(): while the resident is down, the
+  /// serving chain node copies mutations one hop further down the chain,
+  /// so a second failure still finds a complete entry.  Fault-hooks mode
+  /// only (legacy failover keeps its exact message counts).
   void replicate_failover(ObjectId id, const GdoEntry& entry, NodeId serving);
+
+  /// Rebuild support: a surviving mirror copy and where it sits.
+  struct ChainCopy {
+    GdoEntry entry;
+    NodeId holder;
+    std::size_t chain_pos = 0;  ///< holder's index in the failover chain
+  };
+  /// The newest reachable mirror copy (outside `node`) of every entry
+  /// `wanted` accepts; ties go to the earliest chain position.
+  template <class Pred>
+  [[nodiscard]] std::map<ObjectId, ChainCopy> newest_copies(
+      NodeId node, Pred&& wanted) const;
+  /// Charge one rebuild round trip: `node` pulls `copy` of `id` from
+  /// `holder`.  False when an endpoint died mid-round.
+  bool pull_copy(NodeId node, NodeId holder, ObjectId id,
+                 const GdoEntry& copy);
 
   [[nodiscard]] std::uint64_t grant_payload_bytes(const GdoEntry& entry,
                                                   std::size_t txn_list_len)
@@ -592,8 +597,8 @@ class GdoService {
   /// (fault hooks / lock cache) is on, relaxed-atomic regardless.
   GdoStats stats_;
   RingStats ring_stats_;
-  /// Elastic-directory state; null unless config_.ring.enabled.
-  std::unique_ptr<RingState> ring_;
+  /// Where entries live: the static modulo map, or the elastic ring.
+  std::unique_ptr<Placement> placement_;
   /// Global monotone commit tick (mv_read): one per committing family,
   /// allocated at release-stamp time.
   std::atomic<std::uint64_t> commit_tick_{0};

@@ -3,27 +3,19 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace lotec {
 
 namespace {
-
-/// SplitMix64 finalizer — the same mixer the static partition map and the
-/// TokenScheduler use, so ring placement quality matches the rest of the
-/// system without introducing a second hash family.
-constexpr std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Token point for one (node, replica) pair under `seed`.  Chained mixes:
 /// each input perturbs the state before the next finalization, so nearby
 /// node ids and replica indices land far apart on the circle.
 constexpr std::uint64_t token_point(std::uint64_t seed, std::uint32_t node,
                                     std::size_t replica) noexcept {
-  return mix(mix(mix(seed) ^ node) ^ static_cast<std::uint64_t>(replica));
+  return mix64(mix64(mix64(seed) ^ node) ^
+               static_cast<std::uint64_t>(replica));
 }
 
 }  // namespace
@@ -63,7 +55,7 @@ bool HashRing::contains(NodeId node) const noexcept {
 std::vector<NodeId> HashRing::members() const { return members_; }
 
 std::size_t HashRing::first_token(ObjectId id) const {
-  const std::uint64_t point = mix(mix(seed_) ^ id.value());
+  const std::uint64_t point = mix64(mix64(seed_) ^ id.value());
   const auto it = std::lower_bound(
       tokens_.begin(), tokens_.end(), point,
       [](const Token& t, std::uint64_t p) { return t.point < p; });

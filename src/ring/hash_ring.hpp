@@ -1,7 +1,7 @@
 // Consistent-hash placement ring for the elastic GDO (PROTOCOL.md §15).
 //
-// The static directory maps an object to `mix(id) % nodes` — cheap, but any
-// change in the node count remaps nearly every object.  The ring instead
+// The static directory maps an object to `mix64(id) % nodes` — cheap, but
+// any change in the node count remaps nearly every object.  The ring instead
 // hashes each member node to `virtual_nodes` seeded tokens on a 64-bit
 // circle and assigns an object to the first token clockwise from the
 // object's own hash.  A join or leave then moves only the key ranges

@@ -6,15 +6,6 @@
 
 namespace lotec {
 
-namespace {
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-}  // namespace
-
 void ClusterCore::enforce_cache_capacity(Node& node) {
   const std::size_t capacity = config.cache_capacity_pages;
   if (capacity == 0) return;
@@ -499,7 +490,7 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
     return;
   }
 
-  const bool remote = core_.gdo.home_of(object) != node_;
+  const bool remote = core_.gdo.resident_of(object) != node_;
   ScopedSpan gdo_round(&core_.obs.tracer, SpanPhase::kGdoRound,
                        family_.id().value(), node_.value(), object.value());
   core_.scheduler->preempt(index_);  // interleaving point at a global op
@@ -578,7 +569,7 @@ void FamilyRunner::run_prefetch(const Transaction& root) {
       fetch_predicted();
       continue;
     }
-    const bool remote = core_.gdo.home_of(object) != node_;
+    const bool remote = core_.gdo.resident_of(object) != node_;
 
     core_.scheduler->preempt(index_);
     // As in acquire_for: the lock may have been retained here meanwhile.
@@ -892,7 +883,7 @@ void FamilyRunner::snapshot_acquire(ObjectId object) {
     core_.scheduler->preempt(index_);
     GdoService::SnapshotMap fetched = core_.gdo.snapshot_lookup(object, node_);
     core_.counters.snapshot_map_refreshes->add();
-    if (core_.gdo.home_of(object) != node_) {
+    if (core_.gdo.resident_of(object) != node_) {
       ++result_.remote_round_trips;
       core_.counters.remote_round_trips->add();
     }

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "check/oracles.hpp"
-#include "ring/hash_ring.hpp"
+#include "ring/placement.hpp"
 #include "runtime/cluster.hpp"
 #include "sim/validate.hpp"
 
@@ -359,6 +359,39 @@ TEST(RingMigrationTest, MigrationRecoversEntriesOfACrashedSource) {
     ASSERT_TRUE(cluster.run_root(obj, "increment", NodeId(0)).committed);
     EXPECT_EQ(cluster.peek<std::int64_t>(obj, "value"), 2) << obj.value();
   }
+}
+
+TEST(RingMigrationTest, RoundTripsFollowTheRingResident) {
+  // Round-trip accounting asks where the entry is served, not where the
+  // static map would put it: a family acquiring an object at the object's
+  // ring resident pays no remote round trip, even when `mix64(id) % nodes`
+  // names another node.
+  ClusterConfig cfg = ring_config(4);
+  Cluster cluster(cfg);
+  const ClassId cls = define_counter(cluster, cfg.page_size);
+  const ModuloPlacement static_map(cfg.nodes);
+  GdoService& gdo = cluster.gdo();
+  // Create objects round-robin until one sits at its ring resident (so its
+  // pages are local too) while the static map names another node.
+  ObjectId obj{};
+  NodeId owner{};
+  for (std::uint32_t i = 0; i < 64 && !owner.valid(); ++i) {
+    const NodeId creator(i % 4);
+    const ObjectId cand = cluster.create_object(cls, creator);
+    if (gdo.resident_of(cand) == creator &&
+        static_map.owner_of(cand) != creator) {
+      obj = cand;
+      owner = creator;
+    }
+  }
+  ASSERT_TRUE(owner.valid()) << "no object placed away from its static home";
+
+  const TxnResult r = cluster.run_root(obj, "increment", owner);
+  ASSERT_TRUE(r.committed);
+  EXPECT_EQ(r.remote_round_trips, 0u);
+  const auto& counters = cluster.observe().metrics().counters();
+  const auto it = counters.find("net.round_trips");
+  EXPECT_EQ(it == counters.end() ? 0u : it->second, 0u);
 }
 
 // --- ring-ownership oracle self-test ---------------------------------------
