@@ -203,6 +203,8 @@ CheckReport ScheduleChecker::run() {
     ++report.schedules_run;
     if (!out.error.empty()) ++report.schedules_with_errors;
     report.recursion_preclusions += out.recursion_preclusions;
+    report.message_hash = (report.message_hash ^ out.message_hash) *
+                          0x100000001b3ULL;
     if (out.violation) {
       report.violation = out.violation;
       report.counterexample = out.trace;

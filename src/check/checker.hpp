@@ -87,8 +87,19 @@ struct CheckReport {
   /// The minimized trace was replayed twice and both runs reproduced the
   /// identical violation, message count and message trace.
   bool replay_verified = false;
+  /// FNV-1a fold of the message fingerprint of every schedule run()
+  /// explored, in order: two explorations that sent the same message
+  /// sequences agree on it.
+  std::uint64_t message_hash = 0xcbf29ce484222325ULL;
 
   [[nodiscard]] std::string summary() const;
+  /// lotec_check's exit code: 1 = invariant violation, 3 = no violation
+  /// but a schedule died on a runtime Error (its oracles saw a truncated
+  /// run, so it checked nothing), 0 = explored clean.
+  [[nodiscard]] int exit_code() const noexcept {
+    if (violation) return 1;
+    return schedules_with_errors > 0 ? 3 : 0;
+  }
 };
 
 class ScheduleChecker {

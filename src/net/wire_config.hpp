@@ -14,9 +14,7 @@ struct WireConfig {
   /// Run the cluster as real OS processes: one lotec_worker per node,
   /// joined by Unix-domain sockets (TCP with `tcp`), with every accounted
   /// message shipped coordinator -> src worker -> dst worker and
-  /// acknowledged back.  Mutually exclusive with the seams that intercept
-  /// individual in-process messages (schedule exploration, check sinks,
-  /// FaultEngine message faults).
+  /// acknowledged back.
   bool enabled = false;
   /// Use TCP loopback sockets instead of Unix-domain sockets.
   bool tcp = false;

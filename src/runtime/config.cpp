@@ -69,11 +69,6 @@ void ClusterConfig::validate() const {
           "deferred (cached) releases publish versions without commit "
           "ticks, so a snapshot reader could miss a committed write that "
           "precedes its stamp; run one or the other");
-    if (wire.enabled)
-      throw UsageError(
-          "ClusterConfig: mv_read cannot be combined with the wire "
-          "transport (--distributed) — snapshot fetches are defined over "
-          "the in-process transport only");
     if (fault.enabled())
       throw UsageError(
           "ClusterConfig: mv_read cannot be combined with fault injection "
@@ -103,13 +98,6 @@ void ClusterConfig::validate() const {
       throw UsageError(
           "ClusterConfig: gdo.ring.virtual_nodes must be >= 1 (a member "
           "needs at least one token on the ring)");
-    if (wire.enabled)
-      throw UsageError(
-          "ClusterConfig: the elastic directory (gdo.ring) cannot be "
-          "combined with the wire transport (--distributed) — shard "
-          "migration moves directory entries through in-process state the "
-          "worker fleet does not mirror; run --rebalance without "
-          "--distributed");
     if (mv_read)
       throw UsageError(
           "ClusterConfig: the elastic directory (gdo.ring) cannot be "
@@ -138,33 +126,6 @@ void ClusterConfig::validate() const {
           "ClusterConfig: fault event #" + std::to_string(i) +
           " needs a fixed ring member inside the cluster (nodes 0.." +
           std::to_string(nodes - 1) + ")");
-  }
-  if (wire.enabled) {
-    if (schedule_picker)
-      throw UsageError(
-          "ClusterConfig: the wire transport (--distributed) cannot be "
-          "combined with schedule exploration — controlled schedules are "
-          "defined over the in-process transport only; run --explore/"
-          "--schedule without --distributed");
-    if (check_sink != nullptr)
-      throw UsageError(
-          "ClusterConfig: the wire transport (--distributed) cannot be "
-          "combined with a check sink — the serializability checker "
-          "observes the in-process transport only; run --check without "
-          "--distributed");
-    if (fault.drop_probability > 0.0 || fault.duplicate_probability > 0.0 ||
-        fault.delay_probability > 0.0)
-      throw UsageError(
-          "ClusterConfig: the wire transport (--distributed) cannot be "
-          "combined with FaultEngine message chaos (drop/duplicate/delay "
-          "probabilities) — the wire has its own loss handling; use "
-          "crash/restart and partition events instead");
-    for (std::size_t i = 0; i < fault.events.size(); ++i)
-      if (fault.events[i].action == FaultAction::kDropMessage)
-        throw UsageError(
-            "ClusterConfig: fault event #" + std::to_string(i) +
-            " drops a message, which the wire transport (--distributed) "
-            "does not support — use crash/restart or partition events");
   }
 }
 

@@ -54,9 +54,8 @@ struct ClusterConfig {
   FaultConfig fault;
   /// Cross-process wire transport (src/wire): run one lotec_worker OS
   /// process per node and ship every accounted message over real sockets.
-  /// Incompatible with schedule exploration, check sinks and FaultEngine
-  /// *message* faults (crash/restart and partitions work — worker processes
-  /// really die).
+  /// Composes with every other knob: the coordinator still makes each
+  /// protocol, fault and checker decision, the workers relay and count.
   WireConfig wire;
   /// Seed for every random decision (scheduling, workload bodies).
   std::uint64_t seed = 1;
@@ -79,7 +78,7 @@ struct ClusterConfig {
   /// modeled wire cost, like the PR 5 trace context in frame padding), so
   /// with this off the wire traffic is bit-identical — only the read path
   /// is gated.  Incompatible with lock_cache (deferred stamping publishes
-  /// versions without ticks), the wire transport, and fault injection.
+  /// versions without ticks) and fault injection.
   bool mv_read = false;
   /// Committed versions retained per page beyond the live one when mv_read
   /// is on (the paper-side bound on snapshot lag).  GC additionally fences

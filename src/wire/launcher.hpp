@@ -51,6 +51,10 @@ class WorkerSupervisor {
 
   [[nodiscard]] bool alive(std::uint32_t node) const;
 
+  /// Process id of worker `node`, -1 when it is not running (tests signal
+  /// it directly).
+  [[nodiscard]] pid_t pid(std::uint32_t node) const { return pids_.at(node); }
+
   /// Total kill_worker() + respawn_worker() calls (soak assertions).
   [[nodiscard]] std::uint64_t kills() const noexcept { return kills_; }
   [[nodiscard]] std::uint64_t respawns() const noexcept { return respawns_; }

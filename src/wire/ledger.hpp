@@ -1,7 +1,7 @@
 // WorkerLedger: the per-process accounting a lotec_worker keeps of every
 // frame it relayed (as the source site) and delivered (as the destination
-// site), plus the node-local shard mirror counters (locks installed at this
-// site, page bytes stored, directory requests served by this shard).
+// site), plus per-site tallies derived from the delivered kinds (lock
+// grants, page bytes, directory requests addressed to this site).
 //
 // The coordinator gathers each worker's ledger through a StatsRequest /
 // StatsReply round at the end of a batch and cross-checks it against what
@@ -41,7 +41,7 @@ struct WorkerLedger {
   /// double-accounting.
   std::uint64_t duplicates_dropped = 0;
 
-  // --- node-local shard mirror (GDO shard / page store / lock table) ------
+  // --- per-site tallies, counted from the delivered frame kinds ----------
   /// Global lock grants installed into this site's lock table
   /// (LockAcquireGrant + LockGrantWakeup deliveries).
   std::uint64_t locks_granted = 0;

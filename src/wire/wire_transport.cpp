@@ -109,10 +109,10 @@ void WireTransport::ship(const WireMessage& m, std::uint32_t dst,
   f.dst = dst;  // send_to_all ships one copy per destination
   if (deferred) {
     // Batched tail: write the frame and move on.  No retry cycle — there is
-    // no ack to time out on here; delivery is proven when flush_deferred
-    // waits out the queue tail (FIFO link, serial worker).  A torn write is
-    // a hard connection failure, mapped to the same NodeUnreachable the
-    // retry exhaustion path produces.
+    // no ack to time out on here; flush_deferred waits for this frame's own
+    // ack when the window closes.  A torn write is a hard connection
+    // failure, mapped to the same NodeUnreachable the retry exhaustion path
+    // produces.
     try {
       write_data_frame(src, f);
     } catch (const SocketError&) {
@@ -153,39 +153,38 @@ void WireTransport::flush_deferred(std::uint32_t src) {
   auto& pending = deferred_[src];
   if (pending.empty()) return;
   auto& stray = stray_replies_[src];
-  const std::uint64_t tail = pending.back().correlation;
-  bool ok = true;
-  if (stray.find(tail) == stray.end()) {
-    // One generous wait for the queue tail; every earlier ack either gets
-    // skipped into `stray` on the way or was already recorded by an
-    // interleaved waiting ship.
-    try {
-      const Frame reply = read_reply(
-          src, tail,
-          deadline_after(Millis(wire_.ack_timeout_ms *
-                                std::max<std::uint32_t>(
-                                    1, wire_.max_send_attempts))));
-      if (reply.type != FrameType::kAck) ok = false;
-    } catch (const SocketError&) {
-      conns_[src].reset();
-      ok = false;
-    }
-  }
-  const NodeId last_dst = pending.back().dst;
+  // Acks relayed back from different destination workers reach worker[src]
+  // over different peer links, so they arrive in any order: every pending
+  // correlation is resolved on its own, under one shared deadline.
+  const auto deadline = deadline_after(
+      Millis(wire_.ack_timeout_ms *
+             std::max<std::uint32_t>(1, wire_.max_send_attempts)));
+  std::optional<NodeId> failed_dst;
   for (const PendingShip& p : pending) {
-    const auto it = stray.find(p.correlation);
-    if (it != stray.end()) {
-      if (it->second != FrameType::kAck) ok = false;
-      stray.erase(it);
+    FrameType reply = FrameType::kNack;
+    if (const auto it = stray.find(p.correlation); it != stray.end()) {
+      reply = it->second;
+    } else if (conns_[src].valid()) {
+      try {
+        reply = read_reply(src, p.correlation, deadline).type;
+      } catch (const SocketError&) {
+        conns_[src].reset();
+      }
     }
+    if (reply == FrameType::kAck)
+      note_shipped(p.kind, p.total_bytes);
+    else if (!failed_dst)
+      failed_dst = p.dst;
   }
-  if (!ok) {
-    pending.clear();
-    ledger_complete_ = false;
-    throw NodeUnreachable(NodeId(src), last_dst);
-  }
-  for (const PendingShip& p : pending) note_shipped(p.kind, p.total_bytes);
   pending.clear();
+  // Every deferred frame is resolved, so what is left are replies nothing
+  // will look up again (a retransmit's second ack, an ack after its relay
+  // timed out).
+  stray.clear();
+  if (failed_dst) {
+    ledger_complete_ = false;
+    throw NodeUnreachable(NodeId(src), *failed_dst);
+  }
 }
 
 void WireTransport::flush_all_deferred() {

@@ -9,8 +9,8 @@
 //   coordinator --Data--> worker[src] --Data--> worker[dst]
 //   coordinator <--Ack--- worker[src] <--Ack--- worker[dst]
 //
-// Worker[dst] accounts the delivery into its own ledger (and its local
-// shard mirror) before acknowledging.  Because the identical code path
+// Worker[dst] counts the delivery into its own ledger before
+// acknowledging.  Because the identical code path
 // decides what gets accounted in both modes, the wire backend produces
 // bit-identical message/byte counts to the in-process transport for the
 // same seed and scenario — and on_batch_complete() *proves* it by
@@ -95,7 +95,7 @@ class WireTransport final : public Transport {
 
  private:
   /// A frame written without waiting for its ack (batched tail): resolved
-  /// wholesale when the batch window closes.
+  /// when the batch window closes.
   struct PendingShip {
     MessageKind kind{};
     NodeId dst{};
@@ -117,12 +117,11 @@ class WireTransport final : public Transport {
   /// One physical delivery attempt cycle with retry/backoff; counts the
   /// frame into shipped_ on success, throws NodeUnreachable on exhaustion.
   /// With `deferred` set (the message joined an open batch) the frame is
-  /// written and queued on deferred_[src] instead of waiting for its ack —
-  /// the worker link is FIFO and the worker serial, so the later flush of
-  /// the queue tail proves delivery of the whole run.
+  /// written and queued on deferred_[src] instead of waiting for its ack.
   void ship(const WireMessage& m, std::uint32_t dst, bool deferred = false);
-  /// Wait out the deferred-ack queue of worker[src]; counts the flushed
-  /// frames into shipped_ or throws NodeUnreachable on a Nack/timeout.
+  /// Wait for the ack of every frame queued on deferred_[src]; counts the
+  /// acked frames into shipped_ and throws NodeUnreachable if any frame got
+  /// a Nack or no reply.
   void flush_deferred(std::uint32_t src);
   /// flush_deferred for every worker; a failing queue does not stop the
   /// others, and the first failure is rethrown once all are resolved.

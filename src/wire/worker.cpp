@@ -378,7 +378,7 @@ class Worker {
   }
 
   /// A peer shipped us a frame addressed to this node: account it into the
-  /// delivered ledger and the node-local shard mirror, then acknowledge.
+  /// delivered ledger, then acknowledge.
   void deliver(Conn& c, const Frame& f) {
     const bool duplicate = f.correlation != 0 && f.correlation <= c.last_corr;
     if (duplicate) {
@@ -401,10 +401,10 @@ class Worker {
     send_or_close(c, ack, {});
   }
 
-  /// The node-local mirror of this site's slice of cluster state: what the
-  /// in-process simulation tracks centrally (lock tables, page stores, the
-  /// GDO shard's service counters) each worker derives from the frames
-  /// actually delivered to it.
+  /// Per-site tallies derived from the kinds of the frames delivered here
+  /// (grants, releases, directory requests, replica syncs, page bytes).
+  /// Only counts: lock tables, page stores and directory shards stay in the
+  /// coordinator, which makes every protocol decision.
   void apply_mirror(const Frame& f) {
     switch (f.kind) {
       case MessageKind::kLockAcquireGrant:
@@ -535,7 +535,7 @@ class Worker {
   }
 
   /// Render the worker's live state as Prometheus text: per-kind
-  /// delivered/relayed ledgers plus the node-local mirror counters, all
+  /// delivered/relayed ledgers plus the per-site tallies, all
   /// labeled node="<id>".  lotec_top decodes this with
   /// parse_prometheus_text — the same writer/parser pair the coordinator's
   /// exposition uses.

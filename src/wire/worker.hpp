@@ -1,9 +1,10 @@
 // WireWorker: the per-node process behind `lotec_sim --distributed N`.
 //
-// One worker is one LOTEC site made real: it owns that site's slice of the
-// distributed state (the GDO shard it homes, its page store occupancy, its
-// lock table) in the form of a mirror ledger, and it carries the site's
-// share of the cluster's physical traffic.  The coordinator process keeps
+// One worker is one LOTEC site made real: it carries the site's share of
+// the cluster's physical traffic and counts what it delivered in a ledger
+// (per message kind, plus per-site tallies derived from the kinds).  The
+// distributed state itself (directory shards, page stores, lock tables)
+// stays in the coordinator, which makes every protocol decision.  The coordinator process keeps
 // running the deterministic simulation; every message the simulation
 // accounts for node S -> node D is *shipped*: coordinator hands the frame
 // to worker S, worker S relays it over its peer connection to worker D,

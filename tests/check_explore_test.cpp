@@ -1,8 +1,12 @@
 // Integration tests for the schedule checker (src/check/checker): clean
 // exploration finds nothing, the break_retention mutation is caught within
 // a bounded schedule budget with a minimized bit-identically-replayable
-// counterexample, and the passive CheckSink seam leaves message traffic
-// unchanged.
+// counterexample, the passive CheckSink seam leaves message traffic
+// unchanged, and exploring over the wire transport explores the same
+// schedules as in-process.
+//
+// The build pins the worker binary path in LOTEC_WORKER_BIN (see
+// tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include "check/checker.hpp"
@@ -159,6 +163,70 @@ TEST(CheckExploreTest, ReplayOfEmptyTraceIsDefaultSchedule) {
   EXPECT_FALSE(report.violation.has_value());
   EXPECT_TRUE(report.replay_verified);
   EXPECT_GT(report.counterexample_messages, 0u);
+}
+
+CheckOptions wire_options(CheckOptions opts) {
+  opts.cluster.wire.enabled = true;
+#ifdef LOTEC_WORKER_BIN
+  opts.cluster.wire.worker_path = LOTEC_WORKER_BIN;
+#endif
+  return opts;
+}
+
+// The coordinator runs the scheduler and every oracle hook before a frame
+// is shipped, so a wire exploration visits the same schedules and sends
+// the same message sequences as an in-process one.
+TEST(CheckExploreTest, WireExplorationMatchesInProcess) {
+  for (const CheckScenario& scenario : {check_tiny(), check_mixed()}) {
+    for (const ExploreMode mode : {ExploreMode::kRandom, ExploreMode::kPct}) {
+      CheckOptions opts;
+      opts.scenario = scenario;
+      opts.mode = mode;
+      opts.max_schedules = 4;
+      const CheckReport inproc = ScheduleChecker(opts).run();
+      const CheckReport wired = ScheduleChecker(wire_options(opts)).run();
+      SCOPED_TRACE(scenario.name + (mode == ExploreMode::kPct ? "/pct"
+                                                              : "/random"));
+      EXPECT_EQ(wired.schedules_run, 4u);
+      EXPECT_EQ(wired.schedules_with_errors, 0u) << wired.summary();
+      EXPECT_EQ(wired.message_hash, inproc.message_hash);
+      EXPECT_FALSE(wired.violation.has_value()) << wired.summary();
+    }
+  }
+}
+
+TEST(CheckExploreTest, BreakRetentionIsCaughtOverTheWire) {
+  CheckOptions opts;
+  opts.scenario = check_tiny();
+  opts.cluster.test_mutations.break_retention = true;
+  opts.max_schedules = 5000;
+  ScheduleChecker checker(wire_options(opts));
+  const CheckReport report = checker.run();
+  ASSERT_TRUE(report.violation.has_value()) << report.summary();
+  EXPECT_TRUE(report.replay_verified) << report.summary();
+  EXPECT_EQ(report.exit_code(), 1);
+
+  const CheckReport again = checker.replay(report.counterexample);
+  ASSERT_TRUE(again.violation.has_value());
+  EXPECT_EQ(*again.violation, *report.violation);
+  EXPECT_EQ(again.counterexample_messages, report.counterexample_messages);
+  EXPECT_TRUE(again.replay_verified);
+}
+
+// A run whose schedules all died on a runtime Error checked nothing and
+// must not exit 0 ("no invariant violations found").
+TEST(CheckExploreTest, ErroredSchedulesExitThree) {
+  CheckOptions opts = wire_options({});
+  opts.cluster.wire.worker_path = "/nonexistent/lotec_worker";
+  opts.max_schedules = 3;
+  const CheckReport report = ScheduleChecker(opts).run();
+  EXPECT_EQ(report.schedules_with_errors, 3u);
+  EXPECT_FALSE(report.violation.has_value());
+  EXPECT_EQ(report.exit_code(), 3);
+
+  CheckOptions clean;
+  clean.max_schedules = 3;
+  EXPECT_EQ(ScheduleChecker(clean).run().exit_code(), 0);
 }
 
 }  // namespace

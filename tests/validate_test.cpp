@@ -187,10 +187,6 @@ TEST(RingValidationTest, AcceptsAWellFormedRingConfig) {
 
 TEST(RingValidationTest, RejectsIncompatibleKnobs) {
   ClusterConfig cfg = ring_cfg();
-  cfg.wire.enabled = true;
-  EXPECT_NE(rejection_of(cfg).find("--distributed"), std::string::npos);
-
-  cfg = ring_cfg();
   cfg.mv_read = true;
   EXPECT_NE(rejection_of(cfg).find("mv_read"), std::string::npos);
 
@@ -244,10 +240,6 @@ TEST(RingValidationTest, ExperimentOptionsRunTheSameChecks) {
   opt.cluster.mv_read = true;
   EXPECT_THROW(opt.validate(), UsageError);
   opt.cluster.mv_read = false;
-
-  opt.cluster.wire.enabled = true;
-  EXPECT_THROW(opt.validate(), UsageError);
-  opt.cluster.wire.enabled = false;
 
   opt.cluster.lock_cache = true;
   EXPECT_THROW(opt.validate(), UsageError);

@@ -6,10 +6,14 @@
 // working directory without relying on the launcher's beside-the-binary
 // search.
 #include <gtest/gtest.h>
+#include <signal.h>
 
 #include <cstdint>
+#include <ostream>
+#include <utility>
 #include <vector>
 
+#include "check/oracles.hpp"
 #include "runtime/cluster.hpp"
 #include "sim/validate.hpp"
 #include "wire/wire_transport.hpp"
@@ -268,6 +272,152 @@ TEST(WireTransportTest, UnwoundBatchWindowLeavesItsAcksToTheBatchEnd) {
   EXPECT_EQ(wt.shipped()[kind].messages, 2u);
   EXPECT_EQ(wt.gathered().delivered[kind].messages, 2u);
 }
+
+TEST(WireTransportTest, DeferredFlushResolvesEveryDestination) {
+  // Acks relayed back from different destinations reach the source worker
+  // over different peer links, in any order.  With worker B stopped, the
+  // ack of the later frame to C arrives first; the flush must still not
+  // count the frame to B as shipped.
+  WireConfig cfg = wire_config(3).wire;
+  cfg.ack_timeout_ms = 300;
+  cfg.max_send_attempts = 1;
+  wire::WireTransport wt(3, NetworkConfig{}, cfg);
+  const NodeId a(0), b(1), c(2);
+  const auto sync = [&](NodeId dst) {
+    return WireMessage{MessageKind::kGdoReplicaSync, a, dst, ObjectId(1),
+                       wire::kLockRecordBytes};
+  };
+  BatchWindow window(wt);
+  wt.send(sync(b));  // batch heads: each waits for its ack
+  wt.send(sync(c));
+  const pid_t stopped = wt.supervisor().pid(b.value());
+  ASSERT_EQ(::kill(stopped, SIGSTOP), 0);
+  wt.send(sync(b));  // joins: acks deferred
+  wt.send(sync(c));
+  EXPECT_EQ(wt.deferred_pending(), 2u);
+
+  EXPECT_THROW(window.close(), NodeUnreachable);
+  EXPECT_EQ(wt.deferred_pending(), 0u);
+  const auto kind = static_cast<std::size_t>(MessageKind::kGdoReplicaSync);
+  EXPECT_EQ(wt.shipped()[kind].messages, 3u);  // not the frame to B
+  EXPECT_FALSE(wt.ledger_complete());
+  ::kill(stopped, SIGCONT);
+}
+
+// --- every plane composes with the wire -------------------------------------
+// The coordinator makes every protocol, fault and checker decision before a
+// frame is shipped, so each plane runs the same on the wire as in-process:
+// the same per-kind traffic, a worker ledger that accounts every shipped
+// frame, and clean oracles (all five ride along as the check sink).
+
+struct WirePlane {
+  const char* name;
+  void (*configure)(ClusterConfig&);
+  /// The plane really ran (its traffic or its faults showed up).
+  bool (*engaged)(Cluster&);
+  double read_only_fraction = 0.0;
+};
+
+void PrintTo(const WirePlane& plane, std::ostream* os) { *os << plane.name; }
+
+class WireCompositionTest : public ::testing::TestWithParam<WirePlane> {};
+
+TEST_P(WireCompositionTest, MatchesInProcess) {
+  const WirePlane& plane = GetParam();
+  WorkloadSpec spec;
+  spec.num_objects = 8;
+  spec.num_transactions = 80;
+  spec.contention_theta = 0.6;
+  spec.max_depth = 2;
+  spec.child_probability = 0.4;
+  spec.seed = 0xC0DE;
+  const Workload workload(spec);
+
+  const auto run = [&](bool wired) {
+    check::SerializabilityOracle ser;
+    check::LockDisciplineOracle lock;
+    check::CoherenceOracle coherence;
+    check::CacheEpochOracle cache;
+    check::RingOwnershipOracle ring;
+    check::FanoutSink fanout;
+    check::OracleBase* oracles[] = {&ser, &lock, &coherence, &cache, &ring};
+    for (check::OracleBase* o : oracles) fanout.add(o);
+
+    ClusterConfig cfg = wired ? wire_config(4) : ClusterConfig{};
+    cfg.nodes = 4;
+    cfg.check_sink = &fanout;
+    plane.configure(cfg);
+    Cluster cluster(cfg);
+    (void)cluster.execute(
+        workload.instantiate(cluster, plane.read_only_fraction));
+
+    EXPECT_TRUE(plane.engaged(cluster)) << (wired ? "wire" : "in-process");
+    for (const auto& v : validate_quiescent(cluster)) ADD_FAILURE() << v;
+    for (check::OracleBase* o : oracles)
+      if (const auto v = o->finish())
+        ADD_FAILURE() << v->oracle << ": " << v->detail;
+    if (wired) {
+      // The strict batch-end cross-check ran (no kill downgraded it) and
+      // every shipped frame was delivered exactly once.
+      const wire::WireTransport& wt = wire_backend(cluster);
+      EXPECT_TRUE(wt.ledger_complete());
+      for (std::size_t k = 0; k < wire::kNumWireKinds; ++k)
+        EXPECT_EQ(wt.shipped()[k], wt.gathered().delivered[k])
+            << to_string(static_cast<MessageKind>(k));
+    }
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> by_kind;
+    for (std::size_t k = 0;
+         k < static_cast<std::size_t>(MessageKind::kNumKinds); ++k) {
+      const auto c = cluster.stats().by_kind(static_cast<MessageKind>(k));
+      by_kind.emplace_back(c.messages, c.bytes);
+    }
+    return by_kind;
+  };
+  const auto inproc = run(false);
+  EXPECT_EQ(inproc, run(true));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Planes, WireCompositionTest,
+    ::testing::Values(
+        WirePlane{"MvRead",
+                  [](ClusterConfig& cfg) { cfg.mv_read = true; },
+                  [](Cluster& c) {
+                    return c.stats()
+                               .by_kind(MessageKind::kSnapshotFetchRequest)
+                               .messages > 0;
+                  },
+                  0.5},
+        WirePlane{"RingChurn",
+                  [](ClusterConfig& cfg) {
+                    cfg.gdo.replicate = true;
+                    cfg.gdo.ring.enabled = true;
+                    cfg.fault = fault_presets::rebalance(
+                        {NodeId(1), NodeId(2)}, /*cycles=*/3,
+                        /*first_tick=*/20, /*window=*/40);
+                  },
+                  [](Cluster& c) { return c.gdo().ring_epoch() >= 6; }},
+        WirePlane{"MessageChaos",
+                  [](ClusterConfig& cfg) {
+                    cfg.fault = fault_presets::message_chaos(
+                        /*seed=*/11, /*drop=*/0.02, /*dup=*/0.02,
+                        /*delay=*/0.05);
+                    FaultEvent drop;
+                    drop.action = FaultAction::kDropMessage;
+                    drop.on_kind = MessageKind::kPageFetchRequest;
+                    drop.nth = 3;
+                    cfg.fault.events.push_back(drop);
+                  },
+                  [](Cluster& c) {
+                    const FaultStats fs = c.fault_engine()->stats();
+                    return fs.dropped > 1 && fs.duplicated > 0 &&
+                           fs.delayed > 0;
+                  }},
+        WirePlane{"CheckSinkAlone", [](ClusterConfig&) {},
+                  [](Cluster&) { return true; }}),
+    [](const ::testing::TestParamInfo<WirePlane>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace lotec

@@ -12,7 +12,9 @@
 //   lotec_check --replay=counterexample.trace --chrome-out=cx.json
 //
 // Exit codes: 0 = explored clean, 1 = invariant violation (counterexample
-// printed / written), 2 = usage error.
+// printed / written), 2 = usage error, 3 = no violation, but some schedules
+// died on a runtime error (errors=N in the summary), so they checked
+// nothing.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -54,7 +56,8 @@ void usage() {
       "                       schedule (open in Perfetto)\n"
       "  --replay=FILE        replay a saved decision trace instead of\n"
       "                       exploring (verifies determinism: runs twice)\n"
-      "\nExit codes: 0 clean, 1 violation found, 2 usage error.\n";
+      "\nExit codes: 0 clean, 1 violation found, 2 usage error,\n"
+      "3 schedules errored (no violation, but they checked nothing).\n";
 }
 
 ExploreMode parse_mode(const std::string& name) {
@@ -149,7 +152,7 @@ int main(int argc, char** argv) {
     }
     if (report.violation && !args.opts.chrome_out.empty())
       std::cout << "chrome trace -> " << args.opts.chrome_out << "\n";
-    return report.violation ? 1 : 0;
+    return report.exit_code();
   } catch (const UsageError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -26,12 +26,13 @@
 // disarms itself on the first crash for the same reason) — membership
 // churn is the chaos under test here, crash recovery has its own soak.
 //
-// --transport=wire runs every iteration on the cross-process wire
-// transport (src/wire): one lotec_worker OS process per node.  Chaos is
-// restricted to crash/restart (and partitions) — worker processes really
-// get SIGKILLed and respawned — and each faulted iteration asserts the
-// transport observed matching kill/respawn counts, i.e. worker-death
-// recovery actually exercised the process lifecycle.
+// --transport=wire runs every iteration, unchanged, on the cross-process
+// wire transport (src/wire): one lotec_worker OS process per node.  It
+// composes with --faults and --rebalance and prints the same lines as the
+// in-process run.  Crashes really SIGKILL and respawn worker processes, and
+// each faulted iteration asserts the transport observed matching
+// kill/respawn counts ([wire: ...]), i.e. worker-death recovery actually
+// exercised the process lifecycle.
 //
 // --only N draws every iteration's configuration (keeping the random
 // stream identical) but executes only iteration N — cheap reproduction of
@@ -136,8 +137,8 @@ Draw random_setup(Rng& rng) {
   }
   // Read-intent and snapshot reads: a third of the runs submit a share of
   // their families as declared read-only; mv_read additionally rides along
-  // when the drawn config supports it (no lock cache — fault and wire modes
-  // strip it again below).  Everything drawn before gating so the stream
+  // when the drawn config supports it (no lock cache — fault and rebalance
+  // modes strip it again below).  Everything drawn before gating so the stream
   // stays identical across modes.
   const bool want_read_only = rng.chance(0.35);
   const double read_only_fraction = 0.2 + rng.uniform() * 0.6;
@@ -192,22 +193,6 @@ void constrain_for_rebalance(Draw& d, Rng& rng) {
   if (d.spec.num_transactions < 80) d.spec.num_transactions = 80;
 }
 
-/// Constrain one drawn iteration to what the wire transport supports: no
-/// message chaos (drop/duplicate/delay), no drop events — crash/restart and
-/// partitions stay, as real process kills.
-/// Applied AFTER the draws so the random stream is identical with and
-/// without --transport=wire.
-void constrain_for_wire(Draw& d) {
-  d.cfg.wire.enabled = true;
-  d.cfg.fault.drop_probability = 0.0;
-  d.cfg.fault.duplicate_probability = 0.0;
-  d.cfg.fault.delay_probability = 0.0;
-  std::erase_if(d.cfg.fault.events, [](const FaultEvent& e) {
-    return e.action == FaultAction::kDropMessage;
-  });
-  d.cfg.mv_read = false;  // snapshot fetches are not wired yet
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -238,12 +223,6 @@ int main(int argc, char** argv) {
       positional.size() > 0 ? std::atoi(positional[0]) : 50;
   const std::uint64_t base_seed =
       positional.size() > 1 ? std::strtoull(positional[1], nullptr, 0) : 1;
-  if (rebalance && wire_transport) {
-    std::cerr << "soak: --rebalance cannot run on --transport=wire (shard "
-                 "migration is in-process state; see ClusterConfig "
-                 "validation)\n";
-    return 2;
-  }
   Rng rng(base_seed);
 
   for (int i = 0; i < iterations; ++i) {
@@ -251,7 +230,7 @@ int main(int argc, char** argv) {
     if (with_faults) add_random_faults(d, rng);
     if (rebalance) constrain_for_rebalance(d, rng);
     if (wire_transport) {
-      constrain_for_wire(d);
+      d.cfg.wire.enabled = true;
       // Pin the worker sockets so `lotec_top --dir <dir> --nodes N` can
       // scrape this soak live (PROTOCOL.md §16); a fresh temp dir per
       // iteration would leave the watcher nothing stable to connect to.
